@@ -97,8 +97,7 @@ class HoloCleanLite:
 
         # Co-occurrence index (plain counts — no UCs in HoloClean).
         corr = build_corr_index(
-            corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0),
-            code, n_rows=n)
+            corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0), code)
         sdf.unpersist()
 
         cols = {a: dirty[a].astype(str).fillna("").to_numpy(object)

@@ -66,7 +66,7 @@ class RahaBaranLite:
         counts = {a: dict(zip(sub["value"], sub["cnt"]))
                   for a, sub in vc.groupby("attr")}
         corr_pdf = corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0)
-        corr = build_corr_index(corr_pdf, code, n_rows=n)
+        corr = build_corr_index(corr_pdf, code)
         # Mine approximate FDs from the dirty data (for D4 + corrector).
         fds: dict[str, list[str]] = {a: [] for a in attrs}
         for x in attrs:

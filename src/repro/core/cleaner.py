@@ -32,7 +32,7 @@ from .cpt import cpt_counts, value_counts
 from .inference import InferenceParams, run_inference
 from .model import (FittedModel, build_child_views, build_cpt_table,
                     build_vocab)
-from .network import BayesianNetwork
+from .network import BayesianNetwork, CycleError
 from .structure import (edge_determinism, learn_skeleton,
                         similarity_observations)
 
@@ -128,15 +128,10 @@ class BClean:
             if rdet >= self.det_threshold and rsupport >= self.min_support:
                 try:
                     network.add_edge(v, u)
-                except Exception:
+                except CycleError:
                     pass  # would cycle — drop the dependency instead
         if bn_edits:
             network.apply_edits(bn_edits)
-        for v in network.nodes():
-            if network.is_merged(v):
-                raise NotImplementedError(
-                    "merged nodes are supported at the network level only "
-                    "(see DESIGN.md); pass an unmerged network to fit()")
 
         # --- parameter learning ---------------------------------------
         vocab, code = build_vocab(dirty, attrs)
@@ -145,26 +140,6 @@ class BClean:
 
     def _assemble(self, sdf, dirty, attrs, vocab, code, ucs, corr_pdf):
         network = self.network
-        cpt: dict[str, dict] = {}
-        prior: dict[str, tuple] = {}
-        childview: dict[tuple, dict] = {}
-        childtot: dict[tuple, dict] = {}
-        for a in attrs:
-            pars = network.parents(a)
-            prior_pdf = cpt_counts(sdf, a, [])
-            prior_tab = build_cpt_table(prior_pdf, a, [], code)
-            prior[a] = prior_tab.get(
-                (), (np.empty(0, dtype="int64"), np.empty(0), 0.0))
-            if pars:
-                pdf = cpt_counts(sdf, a, pars)
-                cpt[a] = build_cpt_table(pdf, a, pars, code)
-                views, tots = build_child_views(pdf, a, pars, code)
-                for p in pars:
-                    childview[(a, p)] = views[p]
-                    childtot[(a, p)] = tots[p]
-            else:
-                cpt[a] = {(): prior[a]}
-
         vc = value_counts(sdf, attrs)
         counts: dict[str, np.ndarray] = {}
         for a in attrs:
@@ -176,29 +151,45 @@ class BClean:
                       sub["cnt"].to_numpy(dtype="float64")[keep])
             counts[a] = vec
 
-        corr = build_corr_index(corr_pdf, code, n_rows=len(dirty))
+        corr = build_corr_index(corr_pdf, code)
 
         uc_ok = {}
-        null_pass = {}
         for a in attrs:
             if self.params.use_ucs and a in ucs:
                 uc_ok[a] = ucs[a].check_series(
                     pd.Series(vocab[a], dtype="object"))
-                null_pass[a] = bool(ucs[a].check(None))
             else:
                 uc_ok[a] = np.ones(len(vocab[a]), dtype=bool)
-                null_pass[a] = True
 
         self.model = FittedModel(
             attrs=attrs, vocab=vocab, code=code, network=network,
-            cpt=cpt, prior=prior, childview=childview, childtot=childtot,
+            cpt={}, childview={}, childtot={},
             corr=corr, counts=counts, uc_ok=uc_ok, n_rows=len(dirty),
             alpha=self.alpha,
             parents={a: network.parents(a) for a in attrs},
             children={a: network.children(a) for a in attrs},
-            lam=self.lam, beta=self.beta, tau=self.tau,
-            null_pass=null_pass,
         )
+        for a in attrs:
+            self._estimate_cpt(a)
+
+    def _estimate_cpt(self, a: str) -> None:
+        """(Re)estimate the CPT of ``a`` and its child views from the
+        dirty data. A parentless attribute gets an empty CPT: its
+        marginal is ``model.counts[a]``."""
+        m = self.model
+        for key in [k for k in m.childview if k[0] == a]:
+            del m.childview[key]
+            del m.childtot[key]
+        m.cpt[a] = {}
+        pars = self.network.parents(a)
+        if not pars:
+            return
+        pdf = cpt_counts(self._dirty_sdf, a, pars)
+        m.cpt[a] = build_cpt_table(pdf, a, pars, m.code)
+        views, tots = build_child_views(pdf, a, pars, m.code)
+        for p in pars:
+            m.childview[(a, p)] = views[p]
+            m.childtot[(a, p)] = tots[p]
 
     # ------------------------------------------------------------------
     def apply_network_edits(self, edits: list[tuple]) -> set[str]:
@@ -209,19 +200,7 @@ class BClean:
         affected = self.network.apply_edits(edits)
         m = self.model
         for a in affected:
-            pars = self.network.parents(a)
-            if pars:
-                pdf = cpt_counts(self._dirty_sdf, a, pars)
-                m.cpt[a] = build_cpt_table(pdf, a, pars, m.code)
-                views, tots = build_child_views(pdf, a, pars, m.code)
-                for key in [k for k in m.childview if k[0] == a]:
-                    del m.childview[key]
-                    del m.childtot[key]
-                for p in pars:
-                    m.childview[(a, p)] = views[p]
-                    m.childtot[(a, p)] = tots[p]
-            else:
-                m.cpt[a] = {(): m.prior[a]}
+            self._estimate_cpt(a)
         m.parents = {a: self.network.parents(a) for a in m.attrs}
         m.children = {a: self.network.children(a) for a in m.attrs}
         return affected

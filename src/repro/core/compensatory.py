@@ -113,9 +113,8 @@ class CorrIndex:
     ``attr_i``. Codes index ``vocab[attr_i]``.
     """
 
-    def __init__(self, index: dict, n_rows: int):
+    def __init__(self, index: dict):
         self._index = index
-        self.n_rows = n_rows
 
     def lookup(self, attr_i: str, attr_j: str, e: str):
         return self._index.get((attr_i, attr_j), {}).get(e)
@@ -124,7 +123,6 @@ class CorrIndex:
 def build_corr_index(
     corr_pdf: pd.DataFrame,
     vocab_code: dict[str, dict[str, int]],
-    n_rows: int,
 ) -> CorrIndex:
     """Group the Algorithm-2 output into per-(pair, evidence) arrays."""
     index: dict[tuple[str, str], dict[str, tuple]] = {}
@@ -149,4 +147,4 @@ def build_corr_index(
                 sl = order[s:t]
                 per_e[e_sorted[s]] = (codes_arr[sl], w_arr[sl], cnt_arr[sl])
             index[(ai, aj)] = per_e
-    return CorrIndex(index, n_rows)
+    return CorrIndex(index)

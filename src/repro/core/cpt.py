@@ -7,6 +7,10 @@ row is excluded from a node's CPT when the node value or any parent
 value is missing, and probabilities are Laplace-smoothed at lookup time
 (``inference.py``), not here — this module only materializes counts.
 
+``value_counts`` gives every attribute's value frequencies in one job;
+they are the model's only marginal. ``cpt_counts`` is run once per
+attribute that has parents.
+
 Each function returns a *pandas* DataFrame: the outputs are model-sized
 (bounded by the number of distinct value combinations), collected to
 the driver to assemble the broadcastable ``FittedModel``. Every
@@ -28,16 +32,13 @@ def _non_missing(c: str):
     return col.isNotNull() & (col != F.lit(""))
 
 
-def cpt_counts(df: DataFrame, node: Sequence[str] | str,
+def cpt_counts(df: DataFrame, node: str,
                parents: Sequence[str] = ()) -> pd.DataFrame:
     """Counts for the CPT of ``node`` given ``parents``.
 
-    ``node`` may be a single column or (for merged BN nodes) a list of
-    member columns; parent entries may likewise be member columns of
-    merged nodes. Returns columns ``[*parents, *node, cnt]``.
+    Returns columns ``[*parents, node, cnt]``.
     """
-    node_cols = [node] if isinstance(node, str) else list(node)
-    cols = list(parents) + node_cols
+    cols = [*parents, node]
     cond = None
     for c in cols:
         cond = _non_missing(c) if cond is None else cond & _non_missing(c)

@@ -175,27 +175,31 @@ def _child_factor(model: FittedModel, caches: _Caches, j: str, ch: str,
 def _node_scalar(model: FittedModel, caches: _Caches, v: str,
                  row_val: dict) -> float:
     """log Pr[t_v | parents(v)] — a candidate-independent factor, used
-    only by the naive full-network ("base") variant."""
+    only by the naive full-network ("base") variant. A parentless node,
+    or a missing or unseen parent config, falls back to the marginal
+    ``counts[v]``."""
     tv = row_val[v]
     if tv == "":
         return 0.0
     code = model.code[v].get(tv)
     if code is None:
         return 0.0
-    pars = model.parents[v]
-    vals = tuple(row_val[p] for p in pars)
-    cfg = () if not pars else (None if any(x == "" for x in vals) else vals)
+    vals = tuple(row_val[p] for p in model.parents[v])
+    cfg = None if "" in vals else vals
     key = (v, cfg, tv)
     hit = caches.scalar.get(key)
     if hit is not None:
         return hit
-    entry = model.cpt[v].get(cfg) if cfg is not None else None
-    if entry is None:
-        entry = model.prior[v]
-    codes, counts, total = entry
     dom = model.dom_size(v)
+    entry = model.cpt[v].get(cfg) if cfg is not None else None
     # naive evaluation: materialize the whole smoothed vector, then index
-    vec = _smoothed_log_vec(dom, codes, counts, total, model.alpha)
+    if entry is None:
+        counts = model.counts[v]
+        vec = (np.log(counts + model.alpha)
+               - np.log(counts.sum() + model.alpha * dom))
+    else:
+        codes, counts, total = entry
+        vec = _smoothed_log_vec(dom, codes, counts, total, model.alpha)
     out = float(vec[code])
     caches.scalar[key] = out
     return out

@@ -2,11 +2,14 @@
 
 ``FittedModel`` packages everything the distributed inference kernel
 needs: per-attribute vocabularies and value codes, the BN structure,
-CPT count tables in gather-friendly layout, "child views" (a child's
-CPT re-indexed by the inferred parent so the factor
+one marginal per attribute (the dense value-count vector over its
+vocabulary), one CPT count table per attribute that has parents, "child
+views" (a child's CPT re-indexed by the inferred parent so the factor
 ``Pr[t_child | c, co-parents]`` is one dense scatter over the candidate
-domain), the compensatory-score index, raw value counts, and UC masks.
-The whole object is pickled once into a Spark broadcast variable.
+domain), the compensatory-score index, and UC masks. A parentless
+attribute has an empty CPT; wherever a marginal is needed, it is read
+from ``counts``. The whole object is pickled once into a Spark
+broadcast variable.
 
 All probability lookups are Laplace-smoothed at evaluation time:
 ``P = (count + α) / (total + α·|dom|)``.
@@ -31,7 +34,6 @@ class FittedModel:
     code: dict[str, dict[str, int]]        # attr -> value -> code
     network: BayesianNetwork
     cpt: dict[str, dict]                   # attr -> {pa_cfg: (codes, counts, total)}
-    prior: dict[str, tuple]                # attr -> (codes, counts, total)
     childview: dict[tuple, dict]           # (child, parent) -> {(copa, e): (codes, counts)}
     childtot: dict[tuple, dict]            # (child, parent) -> {copa: (codes, totals)}
     corr: CorrIndex
@@ -41,13 +43,6 @@ class FittedModel:
     alpha: float = 0.1
     parents: dict[str, list[str]] = field(default_factory=dict)
     children: dict[str, list[str]] = field(default_factory=dict)
-    # Algorithm-2 parameters, needed at inference time for the
-    # leave-one-out correction of the tuple's own corr contribution.
-    lam: float = 1.0
-    beta: float = 2.0
-    tau: float = 0.5
-    # Whether a NULL passes the attribute's UC (True when no UC given).
-    null_pass: dict[str, bool] = field(default_factory=dict)
 
     def dom_size(self, attr: str) -> int:
         return len(self.vocab[attr])

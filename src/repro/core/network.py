@@ -1,16 +1,11 @@
-"""Bayesian network structure: DAG, user-interaction ops, partitioning.
+"""Bayesian network structure: DAG, user-interaction ops, sub-networks.
 
 The network produced by ``structure.learn_skeleton`` is wrapped in
-``BayesianNetwork``, which supports the user-interaction operations of
-§4 (add edge, remove edge, merge nodes) and the Markov-blanket
-partitioning of §6.1 used by the PI/PIP inference variants.
-
-Nodes are attributes; a *merged* node (paper Fig. 2 (g)–(h)) is a
-composite of several attributes and its value in a tuple is the tuple
-of member values. Merged nodes participate as evidence (parents or
-children of an inferred node); inferring the members of a merged node
-individually is out of scope for the cleaner (see DESIGN.md) — the
-paper's user study only exercises add/remove-edge edits.
+``BayesianNetwork``, a DAG over attributes stored as one parent list
+per node. It supports the add-edge and remove-edge user edits of §4 and
+the one-hop sub-networks of §6.1 used by the PI/PIP inference variants.
+§4's node merging (Fig. 2 (g)–(h)) is not implemented (see DESIGN.md);
+the paper's user study only exercises add/remove-edge edits.
 
 Every mutating operation validates acyclicity and returns the set of
 node names whose CPTs must be re-estimated, matching the paper's "we
@@ -20,7 +15,7 @@ modification".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["BayesianNetwork", "CycleError"]
 
@@ -29,24 +24,16 @@ class CycleError(ValueError):
     """Raised when an edge insertion would create a directed cycle."""
 
 
-@dataclass(frozen=True)
-class _Node:
-    name: str
-    members: tuple[str, ...]
-
-
 @dataclass
 class BayesianNetwork:
     """A DAG over attribute nodes with parent lists."""
 
-    _nodes: dict[str, _Node] = field(default_factory=dict)
     _parents: dict[str, list[str]] = field(default_factory=dict)
 
     @classmethod
     def from_parents(cls, parents: dict[str, list[str]]) -> "BayesianNetwork":
         bn = cls()
         for a in parents:
-            bn._nodes[a] = _Node(a, (a,))
             bn._parents[a] = []
         for a, ps in parents.items():
             for p in ps:
@@ -57,14 +44,7 @@ class BayesianNetwork:
     # introspection
     # ------------------------------------------------------------------
     def nodes(self) -> list[str]:
-        return list(self._nodes)
-
-    def members(self, v: str) -> tuple[str, ...]:
-        """Underlying attribute columns of node ``v`` (itself if simple)."""
-        return self._nodes[v].members
-
-    def is_merged(self, v: str) -> bool:
-        return len(self._nodes[v].members) > 1
+        return list(self._parents)
 
     def parents(self, v: str) -> list[str]:
         return list(self._parents[v])
@@ -75,27 +55,9 @@ class BayesianNetwork:
     def edges(self) -> list[tuple[str, str]]:
         return [(p, c) for c, ps in self._parents.items() for p in ps]
 
-    def markov_blanket(self, v: str) -> set[str]:
-        """Parents ∪ children ∪ co-parents of v (standard blanket)."""
-        ch = self.children(v)
-        out = set(self._parents[v]) | set(ch)
-        for c in ch:
-            out |= set(self._parents[c])
-        out.discard(v)
-        return out
-
     def subnetwork(self, v: str) -> set[str]:
         """§6.1: A_joint = A_parent ∪ {v} ∪ A_child (one-hop neighborhood)."""
         return set(self._parents[v]) | {v} | set(self.children(v))
-
-    def partition(self) -> dict[str, set[str]]:
-        """§6.1 BN partitioning: one sub-network per node. Isolated nodes
-        map to a singleton set (their CPT is the uniform/prior model)."""
-        return {v: self.subnetwork(v) for v in self._nodes}
-
-    def isolated_nodes(self) -> set[str]:
-        return {v for v in self._nodes
-                if not self._parents[v] and not self.children(v)}
 
     def topo_order(self) -> list[str]:
         indeg = {v: len(ps) for v, ps in self._parents.items()}
@@ -108,7 +70,7 @@ class BayesianNetwork:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     frontier.append(c)
-        if len(order) != len(self._nodes):
+        if len(order) != len(self._parents):
             raise CycleError("graph contains a cycle")
         return order
 
@@ -129,7 +91,7 @@ class BayesianNetwork:
     # ------------------------------------------------------------------
     def add_edge(self, u: str, v: str) -> set[str]:
         """Add u → v; returns nodes whose CPTs changed. Rejects cycles."""
-        if u not in self._nodes or v not in self._nodes:
+        if u not in self._parents or v not in self._parents:
             raise KeyError(f"unknown node in edge ({u}, {v})")
         if u == v:
             raise CycleError("self-loop")
@@ -151,7 +113,7 @@ class BayesianNetwork:
             p, c = path[-2], path[-1]
             affected |= self.remove_edge(p, c)
             guard += 1
-            if guard > len(self._nodes) ** 2:  # pragma: no cover
+            if guard > len(self._parents) ** 2:  # pragma: no cover
                 raise CycleError("could not untangle reverse paths")
         affected |= self.add_edge(u, v)
         return affected
@@ -177,45 +139,9 @@ class BayesianNetwork:
             return {v}
         return set()
 
-    def merge_nodes(self, names: Sequence[str], new_name: str) -> set[str]:
-        """Merge nodes per §4: edges shared by *all* merged nodes to/from
-        some node A_j collapse into one edge; other edges of the merged
-        nodes are dropped. Returns nodes needing CPT refresh."""
-        names = list(names)
-        if len(names) < 2:
-            raise ValueError("need at least two nodes to merge")
-        for n in names:
-            if n not in self._nodes:
-                raise KeyError(n)
-        if new_name in self._nodes:
-            raise ValueError(f"node {new_name} already exists")
-        others = [v for v in self._nodes if v not in names]
-        # Shared incoming/outgoing neighbors survive the merge.
-        shared_in = [a for a in others
-                     if all(a in self._parents[n] for n in names)]
-        shared_out = [a for a in others
-                      if all(n in self._parents[a] for n in names)]
-        members = tuple(m for n in names for m in self._nodes[n].members)
-        affected: set[str] = {new_name}
-        for a in others:
-            before = list(self._parents[a])
-            self._parents[a] = [p for p in self._parents[a] if p not in names]
-            if self._parents[a] != before:
-                affected.add(a)
-        for n in names:
-            del self._parents[n]
-            del self._nodes[n]
-        self._nodes[new_name] = _Node(new_name, members)
-        self._parents[new_name] = list(shared_in)
-        for a in shared_out:
-            self._parents[a].append(new_name)
-            affected.add(a)
-        self.topo_order()  # sanity: still a DAG
-        return affected
-
     def apply_edits(self, edits: Iterable[tuple]) -> set[str]:
-        """Apply a batch of user edits: ("add", u, v) / ("remove", u, v) /
-        ("merge", [names...], new_name). Returns all affected nodes."""
+        """Apply a batch of user edits, each ("add", u, v) or
+        ("remove", u, v). Returns all affected nodes."""
         affected: set[str] = set()
         for edit in edits:
             op = edit[0]
@@ -223,14 +149,11 @@ class BayesianNetwork:
                 affected |= self.ensure_edge(edit[1], edit[2])
             elif op == "remove":
                 affected |= self.remove_edge(edit[1], edit[2])
-            elif op == "merge":
-                affected |= self.merge_nodes(edit[1], edit[2])
             else:
                 raise ValueError(f"unknown edit op {op!r}")
         return affected
 
     def copy(self) -> "BayesianNetwork":
         bn = BayesianNetwork()
-        bn._nodes = dict(self._nodes)
         bn._parents = {v: list(ps) for v, ps in self._parents.items()}
         return bn

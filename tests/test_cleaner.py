@@ -1,10 +1,12 @@
 """End-to-end BClean tests on small dataset instances (integration)."""
 import dataclasses
 
+import pandas as pd
 import pytest
 
 from repro.core.cleaner import BClean
 from repro.core.inference import run_inference
+from repro.core.network import BayesianNetwork
 from repro.datasets.registry import load_task
 from repro.eval.metrics import score_repair
 
@@ -28,7 +30,8 @@ def test_fit_populates_model(fitted_hospital, hospital_task):
         assert len(m.vocab[a]) == len(m.code[a])
         assert len(m.uc_ok[a]) == len(m.vocab[a])
         assert m.counts[a].sum() > 0
-        assert () in m.cpt[a] or m.network.parents(a)
+        # a parentless node keeps only its marginal, m.counts[a]
+        assert bool(m.cpt[a]) == bool(m.network.parents(a))
 
 
 def test_clean_quality_floor_hospital(spark, hospital_task, fitted_hospital):
@@ -83,13 +86,51 @@ def test_apply_network_edits_refreshes_cpts(spark, flights_task):
     assert ("act_arr_time", "flight") in bc.model.childview
 
 
-def test_merged_network_rejected(spark, hospital_task):
-    from repro.core.network import BayesianNetwork
-    t = hospital_task
-    net = BayesianNetwork.from_parents({a: [] for a in t.attrs})
-    net.merge_nodes([t.attrs[0], t.attrs[1]], "merged")
-    with pytest.raises(NotImplementedError):
-        BClean("PI").fit(spark, t.dirty, ucs=t.ucs, network=net)
+def _cpt_keys(m):
+    """Every key of the model's CPT and child-view tables."""
+    return (
+        {a: set(tab) for a, tab in m.cpt.items()},
+        {k: set(view) for k, view in m.childview.items()},
+        {k: set(tot) for k, tot in m.childtot.items()},
+    )
+
+
+def test_apply_network_edits_matches_fresh_fit(spark, flights_task):
+    """Re-estimating after edits leaves the model a fresh fit with the
+    same edits would build, including for an attribute whose every
+    parent was removed (no stale child views)."""
+    t = flights_task
+    empty = {a: [] for a in t.attrs}
+    edits = [("remove", "flight", "act_arr_time"),
+             ("add", "sched_dep_time", "act_dep_time")]
+    bc = BClean("PI").fit(spark, t.dirty, ucs=t.ucs, bn_edits=t.bn_edits,
+                          network=BayesianNetwork.from_parents(empty))
+    assert bc.network.parents("act_arr_time") == ["flight"]
+    bc.apply_network_edits(edits)
+    fresh = BClean("PI").fit(spark, t.dirty, ucs=t.ucs,
+                             bn_edits=t.bn_edits + edits,
+                             network=BayesianNetwork.from_parents(empty))
+    assert bc.network.parents("act_arr_time") == []
+    assert set(bc.network.edges()) == set(fresh.network.edges())
+    assert _cpt_keys(bc.model) == _cpt_keys(fresh.model)
+
+
+def test_edge_filter_drops_edge_whose_reversal_would_cycle(spark):
+    """u -> v is not FD-like but v -> u is. Reversing it would close the
+    cycle v -> u -> w -> v, so the edge filter drops it and fit goes on."""
+    i = range(64)
+    dirty = pd.DataFrame({
+        "tid": [str(k) for k in i],
+        "u": [f"u{(k % 8) // 4}" for k in i],   # v determines u
+        "w": [f"w{k % 3}" for k in i],
+        "v": [f"v{k % 8}" for k in i],
+    })
+    net = BayesianNetwork.from_parents({"v": ["u", "w"], "w": ["u"], "u": []})
+    assert net.edges()[0] == ("u", "v")  # filtered while u -> w -> v exists
+    bc = BClean("PI").fit(spark, dirty, network=net)
+    edges = set(bc.network.edges())
+    assert ("u", "v") not in edges and ("v", "u") not in edges
+    assert bc.model is not None
 
 
 def test_clean_before_fit_raises():

@@ -108,7 +108,7 @@ def test_build_corr_index_lookup(spark, frame):
     out = corr_counts(spark.createDataFrame(frame), ["a", "b", "c"], {})
     code = {"a": {"x": 0, "bad!": 1}, "b": {"p": 0, "q": 1},
             "c": {"1": 0, "2": 1}}
-    idx = build_corr_index(out, code, n_rows=4)
+    idx = build_corr_index(out, code)
     entry = idx.lookup("a", "b", "p")
     assert entry is not None
     codes, w, cnt = entry
@@ -117,13 +117,12 @@ def test_build_corr_index_lookup(spark, frame):
     assert got[1] == 1.0  # (bad!, p) once, in row 2
     assert idx.lookup("a", "b", "nope") is None
     assert idx.lookup("a", "zz", "p") is None
-    assert idx.n_rows == 4
 
 
 def test_build_corr_index_skips_unknown_codes(spark, frame):
     out = corr_counts(spark.createDataFrame(frame), ["a", "b", "c"], {})
     code = {"a": {"x": 0}, "b": {"p": 0, "q": 1}, "c": {"1": 0, "2": 1}}
-    idx = build_corr_index(out, code, n_rows=4)
+    idx = build_corr_index(out, code)
     entry = idx.lookup("a", "b", "p")
     codes, _, _ = entry
     assert set(codes.tolist()) == {0}  # 'bad!' dropped (not in vocab)
@@ -132,5 +131,5 @@ def test_build_corr_index_skips_unknown_codes(spark, frame):
 def test_build_corr_index_empty():
     idx = build_corr_index(
         pd.DataFrame(columns=["attr_i", "attr_j", "c", "e", "w", "cnt"]),
-        {}, n_rows=0)
+        {})
     assert idx.lookup("a", "b", "x") is None

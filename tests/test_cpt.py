@@ -63,17 +63,6 @@ def test_cpt_counts_two_parents_oracle(spark, sframe, frame):
     )
 
 
-def test_cpt_counts_merged_node(spark, sframe, frame):
-    # merged-node CPT: the node is a column list
-    out = cpt_counts(sframe, ["b", "c"], ["a"])
-    assert_equivalent(
-        spark.createDataFrame(out),
-        "SELECT a, b, c, COUNT(*)::BIGINT AS cnt FROM t "
-        "WHERE a <> '' AND b <> '' AND c <> '' GROUP BY a, b, c",
-        t=frame,
-    )
-
-
 def test_value_counts_oracle(spark, sframe, frame):
     out = value_counts(sframe, ["a", "b", "c"])
     assert_equivalent(

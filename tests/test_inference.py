@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.cleaner import BClean
 from repro.core.constraints import UC
-from repro.core.inference import InferenceParams, clean_batch, run_inference
+from repro.core.inference import (InferenceParams, _Caches, _node_scalar,
+                                  clean_batch, run_inference)
 from repro.core.network import BayesianNetwork
 
 
@@ -101,6 +102,34 @@ def test_variants_agree_on_micro(micro_fit):
     for tid, want in [("0", "val0"), ("9", "val1"), ("17", "val2")]:
         got = outs["PIP"].loc[outs["PIP"]["tid"] == tid, "val"].iloc[0]
         assert got == want
+
+
+def _marginal_log(pdf, attr, value, alpha):
+    """log((n_v + α) / (n + α·|dom|)) counted by pandas on the dirty frame."""
+    col = pdf[attr][pdf[attr] != ""]
+    return np.log((float((col == value).sum()) + alpha)
+                  / (len(col) + alpha * col.nunique()))
+
+
+def test_node_scalar_falls_back_to_marginal(micro_fit):
+    pdf, bc = micro_fit
+    m = bc.model
+    a = m.alpha
+    # parentless node
+    got = _node_scalar(m, _Caches(), "tag",
+                       {"key": "key0", "val": "val0", "tag": "tag1"})
+    assert got == pytest.approx(_marginal_log(pdf, "tag", "tag1", a),
+                                rel=1e-12)
+    # unseen and missing parent configs of "val" (parent "key")
+    for key in ("key9", ""):
+        got = _node_scalar(m, _Caches(), "val",
+                           {"key": key, "val": "val3", "tag": "tag0"})
+        assert got == pytest.approx(_marginal_log(pdf, "val", "val3", a),
+                                    rel=1e-12)
+    # a seen parent config reads the CPT instead
+    got = _node_scalar(m, _Caches(), "val",
+                       {"key": "key3", "val": "val3", "tag": "tag0"})
+    assert got > _marginal_log(pdf, "val", "val3", a)
 
 
 def test_run_inference_matches_clean_batch(spark, micro_fit):
