@@ -88,6 +88,13 @@ class BClean:
         bn_edits: list[tuple] | None = None,
         network: BayesianNetwork | None = None,
     ) -> "BClean":
+        if "tid" not in dirty.columns:
+            raise ValueError("the dirty frame needs a 'tid' column that "
+                             "identifies each tuple")
+        dup = dirty["tid"].astype(str).duplicated()
+        if dup.any():
+            raise ValueError("duplicate tid values, e.g. "
+                             f"{dirty['tid'][dup].iloc[0]!r}")
         ucs = dict(ucs or {})
         if not self.params.use_ucs:
             ucs = {}

@@ -10,24 +10,51 @@ from repro.datasets.registry import load_task
 
 
 @pytest.fixture(scope="session")
-def hospital_task():
-    return load_task("hospital", scale=0.25, seed=1)
+def task():
+    """``task(name)`` — the dataset task at ``scale=0.25, seed=1``,
+    loaded once per session."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = load_task(name, scale=0.25, seed=1)
+        return cache[name]
+    return get
 
 
 @pytest.fixture(scope="session")
-def flights_task():
-    return load_task("flights", scale=0.25, seed=1)
-
-
-@pytest.fixture(scope="session")
-def beers_task():
-    return load_task("beers", scale=0.25, seed=1)
-
-
-@pytest.fixture(scope="session")
-def fitted_hospital(spark, hospital_task):
+def fitted(spark, task):
+    """``fitted(name)`` — ``BClean("PI")`` fit on ``task(name)`` with its
+    UCs, numeric attributes and BN edits, once per session. Tests must
+    not modify the returned object."""
     from repro.core.cleaner import BClean
-    t = hospital_task
-    return BClean("PI").fit(
-        spark, t.dirty, ucs=t.ucs, numeric_attrs=t.numeric_attrs,
-        bn_edits=t.bn_edits)
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            t = task(name)
+            cache[name] = BClean("PI").fit(
+                spark, t.dirty, ucs=t.ucs, numeric_attrs=t.numeric_attrs,
+                bn_edits=t.bn_edits)
+        return cache[name]
+    return get
+
+
+@pytest.fixture(scope="session")
+def hospital_task(task):
+    return task("hospital")
+
+
+@pytest.fixture(scope="session")
+def flights_task(task):
+    return task("flights")
+
+
+@pytest.fixture(scope="session")
+def beers_task(task):
+    return task("beers")
+
+
+@pytest.fixture(scope="session")
+def fitted_hospital(fitted):
+    return fitted("hospital")

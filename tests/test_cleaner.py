@@ -65,11 +65,10 @@ def test_no_uc_variant_still_competitive(spark, hospital_task):
     assert s.f1 > 0.6  # paper: BClean_-UC stays competitive
 
 
-def test_flights_user_edit_matters(spark, flights_task):
+def test_flights_user_edit_matters(spark, flights_task, fitted):
     """§7.3.2: on Flights the corrected network beats the raw one."""
     t = flights_task
-    with_edit = BClean("PI").fit(
-        spark, t.dirty, ucs=t.ucs, bn_edits=t.bn_edits)
+    with_edit = fitted("flights")  # UCs and t.bn_edits
     f1_with = score_repair(t.clean, t.dirty, with_edit.clean()).f1
     without = BClean("PI").fit(spark, t.dirty, ucs=t.ucs, bn_edits=[])
     f1_without = score_repair(t.clean, t.dirty, without.clean()).f1
@@ -133,6 +132,19 @@ def test_edge_filter_drops_edge_whose_reversal_would_cycle(spark):
     assert bc.model is not None
 
 
+def test_fit_requires_tid_column(spark):
+    dirty = pd.DataFrame({"a": ["x", "y"], "b": ["u", "v"]})
+    with pytest.raises(ValueError, match="tid"):
+        BClean("PI").fit(spark, dirty)
+
+
+def test_fit_rejects_duplicate_tids(spark):
+    dirty = pd.DataFrame({"tid": ["1", "2", "1"], "a": ["x", "y", "z"],
+                          "b": ["u", "v", "w"]})
+    with pytest.raises(ValueError, match="duplicate tid"):
+        BClean("PI").fit(spark, dirty)
+
+
 def test_clean_before_fit_raises():
     with pytest.raises(RuntimeError):
         BClean("PI").clean()
@@ -150,13 +162,13 @@ def test_parameter_stability_lambda(spark, hospital_task):
     assert max(f1s) - min(f1s) < 0.1
 
 
-def test_uc_ablation_pattern_most_influential(spark, flights_task):
+def test_uc_ablation_pattern_most_influential(spark, flights_task, fitted):
     """Fig. 5 shape: removing patterns hurts more than removing Max."""
     from repro.core.constraints import strip_uc_kinds
     t = flights_task
     def run(ucs):
         bc = BClean("PI").fit(spark, t.dirty, ucs=ucs, bn_edits=t.bn_edits)
         return score_repair(t.clean, t.dirty, bc.clean()).f1
-    full = run(t.ucs)
+    full = score_repair(t.clean, t.dirty, fitted("flights").clean()).f1
     no_pat = run(strip_uc_kinds(t.ucs, {"Pat"}))
     assert no_pat <= full + 0.02  # patterns never hurt, usually help

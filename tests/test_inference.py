@@ -1,5 +1,6 @@
-"""Micro-dataset tests for Algorithm 1 (driver-side clean_batch + the
-distributed run_inference path)."""
+"""Tests for Algorithm 1: micro-dataset cases, the batched PI/PIP kernel
+against the per-cell loop (micro cases and all six datasets), and the
+distributed run_inference path."""
 import dataclasses
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 from repro.core.cleaner import BClean
 from repro.core.constraints import UC
-from repro.core.inference import (InferenceParams, _Caches, _node_scalar,
-                                  clean_batch, run_inference)
+from repro.core.inference import (InferenceParams, _Caches, _clean_loop,
+                                  _node_scalar, clean_batch, run_inference)
 from repro.core.network import BayesianNetwork
+from repro.datasets.registry import DATASETS
 
 
 def _micro(n_groups=6, reps=8):
@@ -104,6 +106,55 @@ def test_variants_agree_on_micro(micro_fit):
         assert got == want
 
 
+def _assert_batched_matches_loop(pdf, model, params):
+    """The batched PI/PIP kernel repairs exactly what the per-cell loop
+    repairs, with and without UCs."""
+    for variant in ("PI", "PIP"):
+        for use_ucs in (True, False):
+            p = dataclasses.replace(params, variant=variant, use_ucs=use_ucs)
+            pd.testing.assert_frame_equal(
+                clean_batch(pdf, model, p), _clean_loop(pdf, model, p),
+                obj=f"{variant} use_ucs={use_ucs}")
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_batched_kernel_matches_loop(fitted, task, name):
+    bc = fitted(name)
+    # at most 1000 rows, so the per-cell reference stays affordable
+    pdf = task(name).dirty[["tid", *bc.model.attrs]].iloc[:1000]
+    _assert_batched_matches_loop(pdf, bc.model, bc.params)
+
+
+def _oov_values(pdf):
+    pdf = pdf.copy()
+    pdf.loc[1, "key"] = "keyZ"   # unseen parent config and evidence
+    pdf.loc[2, "val"] = "valZ"   # unseen child value of "key"
+    pdf.loc[3, "tag"] = "tagZ"
+    return pdf
+
+
+def _missing_parent_and_child(pdf):
+    pdf = pdf.copy()
+    pdf.loc[4, "key"] = ""       # parent of "val"
+    pdf.loc[12, "val"] = ""      # child of "key"
+    pdf.loc[20, ["key", "val"]] = ""
+    return pdf
+
+
+@pytest.mark.parametrize("edit, margin", [
+    (None, 1.0),                       # typo, missing, UC-violating original
+    (None, 1e9),
+    (_oov_values, 1.0),
+    (_missing_parent_and_child, 1.0),
+])
+def test_batched_kernel_matches_loop_micro(micro_fit, edit, margin):
+    pdf, bc = micro_fit
+    if edit is not None:
+        pdf = edit(pdf)
+    params = dataclasses.replace(bc.params, margin=margin)
+    _assert_batched_matches_loop(pdf, bc.model, params)
+
+
 def _marginal_log(pdf, attr, value, alpha):
     """log((n_v + α) / (n + α·|dom|)) counted by pandas on the dirty frame."""
     col = pdf[attr][pdf[attr] != ""]
@@ -143,6 +194,18 @@ def test_run_inference_matches_clean_batch(spark, micro_fit):
         dist)
 
 
+def test_run_inference_non_integer_tids(spark):
+    pdf = _micro()
+    pdf["tid"] = "t" + pdf["tid"]
+    net = BayesianNetwork.from_parents({"key": [], "val": ["key"], "tag": []})
+    bc = BClean("PI", margin=1.0).fit(spark, pdf, ucs={}, network=net)
+    out = bc.clean()
+    assert list(out["tid"]) == sorted(pdf["tid"])  # lexicographic order
+    local = clean_batch(pdf, bc.model, bc.params)
+    pd.testing.assert_frame_equal(
+        local.sort_values("tid").reset_index(drop=True), out)
+
+
 def test_margin_blocks_weak_repairs(micro_fit):
     pdf, bc = micro_fit
     p = dataclasses.replace(bc.params, margin=1e9)
@@ -174,3 +237,4 @@ def test_empty_domain_column(spark):
     bc = BClean("PI").fit(spark, pdf, ucs={}, network=net)
     out = clean_batch(pdf, bc.model, bc.params)
     assert (out["empty"] == "").all()  # nothing to infer from
+    _assert_batched_matches_loop(pdf, bc.model, bc.params)

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.pruning import domain_prune_mask, tuple_filter
+from repro.core.pruning import (domain_prune_mask, domain_prune_rows,
+                                tuple_filter, tuple_filter_rows)
 
 
 def test_tuple_filter_formula():
@@ -67,3 +68,43 @@ def test_domain_prune_multiple_blanket_columns_sum_context():
     counts = np.array([10.0, 10.0])
     keep = domain_prune_mask(vecs, counts, n_rows=100, top_k=1)
     assert keep[0] and not keep[1]  # context 2 beats context 1
+
+
+def test_tuple_filter_rows_matches_per_cell():
+    rng = np.random.default_rng(0)
+    n, k = 400, 6
+    cnt = rng.integers(0, 9, (n, k)).astype("float64")
+    denom = rng.integers(0, 4, (n, k)) * rng.integers(1, 7, (n, k)) * 1.0
+    present = rng.random((n, k)) < 0.7   # evidence column found for the cell
+    present[::9] = False                 # cells with no evidence at all
+    got = tuple_filter_rows(cnt, np.where(present, denom, 0.0))
+    assert (denom[present] == 0).any()   # zero denominators are exercised
+    for r in range(n):
+        cols = np.flatnonzero(present[r])
+        want = tuple_filter(0, [np.array([cnt[r, c]]) for c in cols],
+                            list(denom[r, cols]))
+        assert got[r] == want, r
+
+
+def test_domain_prune_rows_matches_per_cell():
+    rng = np.random.default_rng(1)
+    n, dom, top_k = 300, 40, 6
+    value_counts = rng.integers(0, 4, dom).astype("float64")  # many ties
+    context = np.zeros((n, dom))
+    has_blanket = np.zeros(n, dtype=bool)
+    vecs = []
+    for r in range(n):
+        row = [rng.integers(0, 3, dom) * (rng.random(dom) < 0.4) * 1.0
+               for _ in range(rng.integers(0, 4))]  # 0 = no blanket evidence
+        for v in row:
+            context[r] += v > 0
+        has_blanket[r] = bool(row)
+        vecs.append(row)
+    keep = domain_prune_rows(context, has_blanket, value_counts,
+                             n_rows=100, top_k=top_k)
+    assert (keep.sum(axis=1) > top_k).any()   # ties kept at the K-th score
+    assert not has_blanket.all()
+    for r in range(n):
+        want = domain_prune_mask(vecs[r], value_counts, n_rows=100,
+                                 top_k=top_k)
+        assert (keep[r] == want).all(), r
