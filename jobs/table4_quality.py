@@ -2,8 +2,8 @@
 
 Runs the four BClean variants and the four baseline analogues over the
 six datasets, printing P/R/F1 per (method, dataset) in the paper's row
-order. Also writes a machine-readable CSV next to the repo root
-(``table4_results.csv``) that table7 reuses for timing.
+order. Also writes a machine-readable CSV,
+``results/table4_results.csv``, that table7 reuses for timing.
 """
 import sys
 from pathlib import Path
@@ -54,7 +54,7 @@ def run(spark) -> pd.DataFrame:
             log(f"  -> P={s.precision:.3f} R={s.recall:.3f} "
                 f"F1={s.f1:.3f} ({r.exec_seconds:.0f}s)")
     out = pd.DataFrame(rows)
-    out.to_csv(Path(__file__).resolve().parent.parent
+    out.to_csv(Path(__file__).resolve().parent.parent / "results"
                / "table4_results.csv", index=False)
     return out
 

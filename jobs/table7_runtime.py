@@ -4,8 +4,8 @@ Execution time is re-measured here (end-to-end fit + clean per method).
 User time is a human-subject measurement we cannot rerun; the paper's
 numbers are repeated verbatim for reference (DESIGN.md deviation #4).
 
-Reuses ``table4_results.csv`` when present (table4 already timed every
-run); otherwise it re-runs everything.
+Reuses ``results/table4_results.csv`` when present (table4 already timed
+every run); otherwise it re-runs everything.
 """
 import sys
 from pathlib import Path
@@ -41,7 +41,8 @@ PAPER_USER = {
 
 
 def run(spark) -> pd.DataFrame:
-    cached = Path(__file__).resolve().parent.parent / "table4_results.csv"
+    cached = (Path(__file__).resolve().parent.parent / "results"
+              / "table4_results.csv")
     if cached.exists():
         log(f"reusing timings from {cached}")
         t4 = pd.read_csv(cached)

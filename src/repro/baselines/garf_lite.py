@@ -20,6 +20,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.compensatory import corr_counts
 from repro.core.cpt import cpt_counts
+from repro.core.model import normalize_missing
 from repro.core.structure import edge_determinism
 from repro.datasets.registry import CleaningTask
 
@@ -31,7 +32,7 @@ _MIN_SUPPORT = 5   # mean majority count per determinant value
 
 class GarfLite:
     def run(self, spark: SparkSession, task: CleaningTask) -> pd.DataFrame:
-        dirty = task.dirty
+        dirty = normalize_missing(task.dirty)
         attrs = task.attrs
         sdf = spark.createDataFrame(dirty).cache()
         corr_pdf = corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0)
@@ -54,8 +55,7 @@ class GarfLite:
                 rules.append((x, y, groups))
         sdf.unpersist()
 
-        cols = {a: dirty[a].astype(str).fillna("").to_numpy(object)
-                for a in attrs}
+        cols = {a: dirty[a].to_numpy(object) for a in attrs}
         out_cols = {a: cols[a].copy() for a in attrs}
         for x, y, groups in rules:
             xs, ys = cols[x], cols[y]
@@ -73,5 +73,5 @@ class GarfLite:
                     if ys[i] != maj:
                         out_cols[y][i] = maj
         out = pd.DataFrame(out_cols)
-        out.insert(0, "tid", dirty["tid"].astype(str).to_numpy())
+        out.insert(0, "tid", dirty["tid"].to_numpy())
         return out

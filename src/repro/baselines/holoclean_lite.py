@@ -26,7 +26,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.compensatory import build_corr_index, corr_counts
 from repro.core.cpt import cpt_counts
-from repro.core.model import build_vocab
+from repro.core.model import build_vocab, normalize_missing
 from repro.core.similarity import string_similarity
 from repro.datasets.registry import CleaningTask
 
@@ -74,7 +74,7 @@ class HoloCleanLite:
     """Detect by DC violation/null; repair by log-linear feature score."""
 
     def run(self, spark: SparkSession, task: CleaningTask) -> pd.DataFrame:
-        dirty = task.dirty
+        dirty = normalize_missing(task.dirty)
         attrs = task.attrs
         dcs = DCS.get(task.name, [])
         sdf = spark.createDataFrame(dirty).cache()
@@ -100,8 +100,7 @@ class HoloCleanLite:
             corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0), code)
         sdf.unpersist()
 
-        cols = {a: dirty[a].astype(str).fillna("").to_numpy(object)
-                for a in attrs}
+        cols = {a: dirty[a].to_numpy(object) for a in attrs}
         out_cols = {a: cols[a].copy() for a in attrs}
         dc_by_rhs: dict[str, list[int]] = {}
         for d, (lhs, rhs) in enumerate(dcs):
@@ -158,5 +157,5 @@ class HoloCleanLite:
                         continue  # minimality: keep the observation
                 out_cols[a][i] = cand
         out = pd.DataFrame(out_cols)
-        out.insert(0, "tid", dirty["tid"].astype(str).to_numpy())
+        out.insert(0, "tid", dirty["tid"].to_numpy())
         return out

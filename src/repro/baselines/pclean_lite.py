@@ -26,7 +26,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.cpt import cpt_counts
-from repro.core.model import build_cpt_table, build_vocab
+from repro.core.model import (build_cpt_table, build_vocab, config_code,
+                              normalize_missing)
 from repro.core.similarity import edit_distance
 from repro.datasets.registry import CleaningTask
 
@@ -82,23 +83,22 @@ class PCleanLite:
     """MAP cleaning under an expert-declared generative program."""
 
     def run(self, spark: SparkSession, task: CleaningTask) -> pd.DataFrame:
-        dirty = task.dirty
+        dirty = normalize_missing(task.dirty)
         attrs = task.attrs
         program = PROGRAMS.get(task.name, {})
         sdf = spark.createDataFrame(dirty).cache()
         vocab, code = build_vocab(dirty, attrs)
-        cpt: dict[str, dict] = {}
+        cpt = {}
         prior: dict[str, tuple] = {}
         for a in attrs:
             prior_tab = build_cpt_table(cpt_counts(sdf, a, []), a, [], code)
-            prior[a] = prior_tab.get(
-                (), (np.empty(0, dtype="int64"), np.empty(0), 0.0))
+            prior[a] = prior_tab.row(0) or (np.empty(0, dtype="int64"),
+                                            np.empty(0))
             pars = program.get(a, [])
             if pars:
                 cpt[a] = build_cpt_table(
                     cpt_counts(sdf, a, pars), a, pars, code)
-        cols = {a: dirty[a].astype(str).fillna("").to_numpy(object)
-                for a in attrs}
+        cols = {a: dirty[a].to_numpy(object) for a in attrs}
         out_cols = {a: cols[a].copy() for a in attrs}
         log_vec_cache: dict = {}
         for i in range(len(dirty)):
@@ -110,18 +110,18 @@ class PCleanLite:
                 pars = program.get(a, [])
                 cfg = tuple(cols[p][i] for p in pars)
                 entry = None
-                if pars and all(v != "" for v in cfg):
-                    entry = cpt.get(a, {}).get(cfg)
+                if pars:
+                    entry = cpt[a].row(config_code(code, pars, cfg))
                 if entry is None:
                     entry = prior[a]
                 key = (a, cfg if entry is not prior[a] else None)
                 vec = log_vec_cache.get(key)
                 if vec is None:
-                    codes, counts, total = entry
+                    codes, counts = entry
                     numer = np.full(dom, _ALPHA)
                     if len(codes):
                         np.add.at(numer, codes, counts)
-                    vec = np.log(numer) - np.log(total + _ALPHA * dom)
+                    vec = np.log(numer) - np.log(counts.sum() + _ALPHA * dom)
                     log_vec_cache[key] = vec
                 # top candidates by prior mass + the observed value
                 if dom > _MAX_CAND:
@@ -142,7 +142,7 @@ class PCleanLite:
                     out_cols[a][i] = best_c
         sdf.unpersist()
         out = pd.DataFrame(out_cols)
-        out.insert(0, "tid", dirty["tid"].astype(str).to_numpy())
+        out.insert(0, "tid", dirty["tid"].to_numpy())
         return out
 
     @staticmethod

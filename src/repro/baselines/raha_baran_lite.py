@@ -34,7 +34,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.compensatory import build_corr_index, corr_counts
 from repro.core.cpt import cpt_counts, value_counts
-from repro.core.model import build_vocab
+from repro.core.model import build_vocab, normalize_missing
 from repro.core.similarity import edit_distance
 from repro.core.structure import edge_determinism
 from repro.datasets.registry import CleaningTask
@@ -53,7 +53,8 @@ def _template(v: str) -> str:
 class RahaBaranLite:
     def run(self, spark: SparkSession, task: CleaningTask,
             seed: int = 11) -> pd.DataFrame:
-        dirty, clean = task.dirty, task.clean
+        dirty = normalize_missing(task.dirty)
+        clean = normalize_missing(task.clean)
         attrs = task.attrs
         n = len(dirty)
         rng = np.random.default_rng(seed)
@@ -88,10 +89,8 @@ class RahaBaranLite:
                 fd_major[(y, x)] = groups
         sdf.unpersist()
 
-        cols = {a: dirty[a].astype(str).fillna("").to_numpy(object)
-                for a in attrs}
-        clean_cols = {a: clean[a].astype(str).fillna("").to_numpy(object)
-                      for a in attrs}
+        cols = {a: dirty[a].to_numpy(object) for a in attrs}
+        clean_cols = {a: clean[a].to_numpy(object) for a in attrs}
         tmpl_freq = {
             a: pd.Series([_template(v) for v in cols[a]])
             .value_counts(normalize=True).to_dict()
@@ -143,7 +142,7 @@ class RahaBaranLite:
                 if cand is not None and cand != row[a]:
                     out_cols[a][i] = cand
         out = pd.DataFrame(out_cols)
-        out.insert(0, "tid", dirty["tid"].astype(str).to_numpy())
+        out.insert(0, "tid", dirty["tid"].to_numpy())
         return out
 
     @staticmethod

@@ -30,8 +30,9 @@ from .compensatory import build_corr_index, corr_counts
 from .constraints import UC
 from .cpt import cpt_counts, value_counts
 from .inference import InferenceParams, run_inference
-from .model import (FittedModel, build_child_views, build_cpt_table,
-                    build_vocab)
+from .model import (FittedModel, SparseTable, build_child_views,
+                    build_cpt_table, build_vocab, normalize_missing,
+                    value_codes)
 from .network import BayesianNetwork, CycleError
 from .structure import (edge_determinism, learn_skeleton,
                         similarity_observations)
@@ -91,7 +92,8 @@ class BClean:
         if "tid" not in dirty.columns:
             raise ValueError("the dirty frame needs a 'tid' column that "
                              "identifies each tuple")
-        dup = dirty["tid"].astype(str).duplicated()
+        dirty = normalize_missing(dirty)
+        dup = dirty["tid"].duplicated()
         if dup.any():
             raise ValueError("duplicate tid values, e.g. "
                              f"{dirty['tid'][dup].iloc[0]!r}")
@@ -150,13 +152,10 @@ class BClean:
         vc = value_counts(sdf, attrs)
         counts: dict[str, np.ndarray] = {}
         for a in attrs:
-            vec = np.zeros(len(vocab[a]))
             sub = vc[vc["attr"] == a]
-            idx = sub["value"].map(code[a])
-            keep = idx.notna().to_numpy()
-            np.add.at(vec, idx.to_numpy()[keep].astype("int64"),
-                      sub["cnt"].to_numpy(dtype="float64")[keep])
-            counts[a] = vec
+            c = value_codes(sub["value"], code[a])
+            counts[a] = np.bincount(c[c >= 0], sub["cnt"].to_numpy(
+                dtype="float64")[c >= 0], minlength=len(vocab[a]))
 
         corr = build_corr_index(corr_pdf, code)
 
@@ -169,7 +168,7 @@ class BClean:
                 uc_ok[a] = np.ones(len(vocab[a]), dtype=bool)
 
         self.model = FittedModel(
-            attrs=attrs, vocab=vocab, code=code, network=network,
+            attrs=attrs, vocab=vocab, code=code,
             cpt={}, childview={}, childtot={},
             corr=corr, counts=counts, uc_ok=uc_ok, n_rows=len(dirty),
             alpha=self.alpha,
@@ -187,7 +186,7 @@ class BClean:
         for key in [k for k in m.childview if k[0] == a]:
             del m.childview[key]
             del m.childtot[key]
-        m.cpt[a] = {}
+        m.cpt[a] = SparseTable([], [], [[]], m.dom_size(a))
         pars = self.network.parents(a)
         if not pars:
             return

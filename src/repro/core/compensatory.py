@@ -15,8 +15,9 @@ Two distributed computations over the dirty DataFrame:
 
 ``Score_corr`` itself (Eq. 2) is evaluated at inference time from the
 driver-assembled index (``build_corr_index``): for each ordered pair
-(A_i → candidate attribute, A_j → evidence attribute) and evidence
-value e, a dense gather of (candidate code, weight, raw count) arrays.
+(A_i → candidate attribute, A_j → evidence attribute), one
+``model.SparseTable`` whose row for the code of evidence value e holds
+the (candidate code, weight, raw count) entries.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from pyspark.sql.types import DoubleType, StringType, StructField, StructType
 
 from .constraints import UC, uc_mask
 from .cpt import melt
+from .model import SparseTable, value_codes
 
 __all__ = ["tuple_confidence", "corr_counts", "build_corr_index", "CorrIndex"]
 
@@ -104,47 +106,35 @@ def corr_counts(
 
 
 class CorrIndex:
-    """Driver-side gather index over the Algorithm-2 output.
+    """Driver-side index over the Algorithm-2 output.
 
-    ``lookup(attr_i, attr_j, e)`` returns ``(codes, w, cnt)`` — for
-    evidence value ``e`` of ``attr_j``, the candidate codes of
-    ``attr_i`` co-occurring with it, their summed confidence weights,
-    and raw counts — or None if ``e`` was never observed next to
-    ``attr_i``. Codes index ``vocab[attr_i]``.
+    ``tables[(attr_i, attr_j)]`` is one ``SparseTable`` per ordered
+    pair, keyed by the code of an evidence value e of ``attr_j``, with
+    entries (code of a candidate c of ``attr_i`` co-occurring with e,
+    summed confidence weight, raw count). ``lookup(attr_i, attr_j, e)``
+    returns the row of string evidence ``e`` as ``(codes, w, cnt)``, or
+    None if ``e`` was never observed next to ``attr_i``.
     """
 
-    def __init__(self, index: dict):
-        self._index = index
+    def __init__(self, tables: dict, code: dict[str, dict[str, int]]):
+        self.tables = tables
+        self.code = code
 
     def lookup(self, attr_i: str, attr_j: str, e: str):
-        return self._index.get((attr_i, attr_j), {}).get(e)
+        table = self.tables.get((attr_i, attr_j))
+        ecode = None if table is None else self.code[attr_j].get(e)
+        return None if ecode is None else table.row(ecode)
 
 
 def build_corr_index(
     corr_pdf: pd.DataFrame,
     vocab_code: dict[str, dict[str, int]],
 ) -> CorrIndex:
-    """Group the Algorithm-2 output into per-(pair, evidence) arrays."""
-    index: dict[tuple[str, str], dict[str, tuple]] = {}
-    if len(corr_pdf):
-        for (ai, aj), pair_grp in corr_pdf.groupby(["attr_i", "attr_j"], sort=False):
-            code_map = vocab_code[ai]
-            codes = pair_grp["c"].map(code_map)
-            keep = codes.notna().to_numpy()
-            if not keep.any():
-                continue
-            sub = pair_grp.loc[keep]
-            codes_arr = codes.to_numpy()[keep].astype("int64")
-            w_arr = sub["w"].to_numpy(dtype="float64")
-            cnt_arr = sub["cnt"].to_numpy(dtype="float64")
-            e_arr = sub["e"].to_numpy(dtype=object)
-            order = np.argsort(e_arr, kind="stable")
-            e_sorted = e_arr[order]
-            bounds = np.flatnonzero(
-                np.r_[True, e_sorted[1:] != e_sorted[:-1], True])
-            per_e: dict[str, tuple] = {}
-            for s, t in zip(bounds[:-1], bounds[1:]):
-                sl = order[s:t]
-                per_e[e_sorted[s]] = (codes_arr[sl], w_arr[sl], cnt_arr[sl])
-            index[(ai, aj)] = per_e
-    return CorrIndex(index)
+    """Group the Algorithm-2 output into one table per attribute pair."""
+    tables = {}
+    for (ai, aj), grp in corr_pdf.groupby(["attr_i", "attr_j"], sort=False):
+        tables[(ai, aj)] = SparseTable(
+            value_codes(grp["e"], vocab_code[aj]),
+            value_codes(grp["c"], vocab_code[ai]),
+            [grp["w"], grp["cnt"]], len(vocab_code[ai]))
+    return CorrIndex(tables, vocab_code)

@@ -1,30 +1,149 @@
 """The fitted, broadcastable BClean model.
 
 ``FittedModel`` packages everything the distributed inference kernel
-needs: per-attribute vocabularies and value codes, the BN structure,
-one marginal per attribute (the dense value-count vector over its
-vocabulary), one CPT count table per attribute that has parents, "child
-views" (a child's CPT re-indexed by the inferred parent so the factor
-``Pr[t_child | c, co-parents]`` is one dense scatter over the candidate
-domain), the compensatory-score index, and UC masks. A parentless
-attribute has an empty CPT; wherever a marginal is needed, it is read
-from ``counts``. The whole object is pickled once into a Spark
-broadcast variable.
+needs: per-attribute vocabularies and value codes, each attribute's
+parents and children, one marginal per attribute (value counts over its
+vocabulary), the count tables and UC masks. It is pickled once into a
+Spark broadcast variable.
 
-All probability lookups are Laplace-smoothed at evaluation time:
-``P = (count + α) / (total + α·|dom|)``.
+Every count table is one ``SparseTable``: int64 row keys, each row a run
+of (code, value...) entries sorted by code. A row key is a value code or
+the mixed-radix code of a configuration (``config_key``); a missing or
+out-of-vocabulary value never forms one. ``cpt[a]`` is keyed by ``a``'s
+parents (empty without parents: the marginal is ``counts[a]``);
+``childview[(child, p)]`` by (co-parents, child value) with entries over
+dom(p), so ``Pr[t_child | c, co-parents]`` over candidates c of ``p`` is
+one scatter; ``childtot[(child, p)]`` by co-parents; ``corr`` is
+``compensatory.CorrIndex``. Probabilities are Laplace-smoothed at
+evaluation time: ``P = (count + α) / (total + α·|dom|)``.
+
+One missing-value convention holds throughout: ``""``.
+``normalize_missing`` maps ``None``/``NaN`` cells to it and every other
+cell to ``str``; ``BClean.fit`` and every baseline apply it at entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import pandas as pd
 
-from .compensatory import CorrIndex
-from .network import BayesianNetwork
+if TYPE_CHECKING:
+    from .compensatory import CorrIndex
 
-__all__ = ["FittedModel", "build_vocab", "build_cpt_table", "build_child_views"]
+__all__ = ["FittedModel", "SparseTable", "config_key", "config_keys",
+           "config_code", "value_codes", "normalize_missing", "build_vocab",
+           "build_cpt_table", "build_child_views"]
+
+
+_NO_KEY = np.iinfo(np.int64).min   # sentinel past the last row key
+
+
+class SparseTable:
+    """Sparse rows of (code, value...) entries under int64 row keys.
+
+    ``keys`` holds the distinct row keys in ascending order; row r (its
+    index in ``keys``) holds entries ``start[r]:start[r + 1]`` of
+    ``codes`` (ascending, over a domain of size ``dom``) and of ``vals[i]``.
+    """
+
+    def __init__(self, keys, codes, vals: Sequence, dom: int):
+        """Build from unordered entries; a negative key or code drops an
+        entry, and duplicate (row key, code) entries are summed."""
+        keys = np.asarray(keys, dtype=np.int64)
+        codes = np.asarray(codes, dtype=np.int64)
+        ok = (keys >= 0) & (codes >= 0)
+        pairs, inv = np.unique(np.stack([keys[ok], codes[ok]]), axis=1,
+                               return_inverse=True)
+        self.vals = np.array([
+            np.bincount(inv, np.asarray(v, dtype=np.float64)[ok],
+                        minlength=pairs.shape[1]) for v in vals])
+        self.keys, first = np.unique(pairs[0], return_index=True)
+        self.start = np.append(first, pairs.shape[1])
+        self.codes = np.ascontiguousarray(pairs[1])
+        self.dom = dom
+
+    def __setstate__(self, state):
+        # an unpickled (broadcast) array has an equal but distinct dtype
+        # object, on which ufunc.at runs ~30x slower: restore the canonical
+        self.__dict__ = {k: v.view(v.dtype.type) if isinstance(v, np.ndarray)
+                         else v for k, v in state.items()}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def find(self, keys):
+        """Row index of each key; -1 where the table has no such row."""
+        pos = np.searchsorted(self.keys, keys)
+        return np.where(np.append(self.keys, _NO_KEY)[pos] == keys, pos, -1)
+
+    def row(self, key: int):
+        """``(codes, *vals)`` of the row with key ``key``, or None."""
+        r = int(self.find(key))
+        if r < 0:
+            return None
+        s, t = self.start[r], self.start[r + 1]
+        return (self.codes[s:t], *self.vals[:, s:t])
+
+    def expand(self, rows):
+        """Every entry of rows ``rows`` (row indices, -1 for none), as
+        (position in ``rows``, index into ``codes``/``vals``)."""
+        rows = np.asarray(rows)
+        ln = np.where(rows >= 0, self.start[rows + 1] - self.start[rows], 0)
+        pos = np.repeat(np.arange(len(ln)), ln)
+        first = np.repeat(self.start[rows] - np.cumsum(ln) + ln, ln)
+        return pos, first + np.arange(len(pos))
+
+    def dense(self, rows, i: int = 0) -> np.ndarray:
+        """(len(rows), dom) matrix of value ``i``: row u holds row
+        ``rows[u]`` scattered at its codes (all zeros for -1)."""
+        out = np.zeros((len(rows), self.dom))
+        pos, src = self.expand(rows)
+        out[pos, self.codes[src]] = self.vals[i][src]
+        return out
+
+    def at(self, rows: np.ndarray, codes: np.ndarray, i: int = 0):
+        """Value ``i`` at (row ``rows[r]``, ``codes[r]``) for every r; 0
+        where the row is -1 or has no such code."""
+        flat = (np.repeat(np.arange(len(self.keys)), np.diff(self.start))
+                * self.dom + self.codes)
+        q = np.where(rows >= 0, rows * self.dom + codes, -1)
+        pos = np.searchsorted(flat, q)
+        hit = np.append(flat, _NO_KEY)[pos] == q
+        return np.where(hit, np.append(self.vals[i], 0.0)[pos], 0.0)
+
+
+def config_key(codes: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Mixed-radix key of each row of ``codes`` (rows × len(dims)), a
+    configuration of value codes over domains of sizes ``dims``; -1 for
+    a row with a negative (missing or unknown) code. Raises ValueError
+    (``np.ravel_multi_index``) when the product of ``dims`` overflows."""
+    ok = (codes >= 0).all(axis=1)
+    key = np.full(len(codes), -1, dtype=np.int64)
+    key[ok] = np.ravel_multi_index(tuple(codes[ok].T), tuple(dims))
+    return key
+
+
+def config_keys(codes: pd.DataFrame, cols: Sequence[str],
+                code: dict[str, dict[str, int]]) -> np.ndarray:
+    """``config_key`` of every row of a frame of value codes, over its
+    columns ``cols``."""
+    return config_key(codes[list(cols)].to_numpy(dtype=np.int64),
+                      [len(code[c]) for c in cols])
+
+
+def config_code(code: dict[str, dict[str, int]], cols: Sequence[str],
+                vals: Sequence[str]) -> int:
+    """``config_key`` of one configuration ``vals`` of string values."""
+    row = np.array([[code[c].get(v, -1) for c, v in zip(cols, vals)]],
+                   dtype=np.int64).reshape(1, len(cols))
+    return int(config_key(row, [len(code[c]) for c in cols])[0])
+
+
+def value_codes(values: pd.Series, code: dict[str, int]) -> np.ndarray:
+    """Code of each value; -1 outside the vocabulary."""
+    return values.map(code).fillna(-1).to_numpy(dtype=np.int64)
 
 
 @dataclass
@@ -32,10 +151,9 @@ class FittedModel:
     attrs: list[str]
     vocab: dict[str, np.ndarray]           # attr -> array of domain values
     code: dict[str, dict[str, int]]        # attr -> value -> code
-    network: BayesianNetwork
-    cpt: dict[str, dict]                   # attr -> {pa_cfg: (codes, counts, total)}
-    childview: dict[tuple, dict]           # (child, parent) -> {(copa, e): (codes, counts)}
-    childtot: dict[tuple, dict]            # (child, parent) -> {copa: (codes, totals)}
+    cpt: dict[str, SparseTable]            # attr -> parents cfg -> (attr code, count)
+    childview: dict[tuple, SparseTable]    # (child, parent) -> (copa, e) -> (parent code, count)
+    childtot: dict[tuple, SparseTable]     # (child, parent) -> copa -> (parent code, total)
     corr: CorrIndex
     counts: dict[str, np.ndarray]          # attr -> count vector over vocab
     uc_ok: dict[str, np.ndarray]           # attr -> bool vector over vocab
@@ -48,85 +166,56 @@ class FittedModel:
         return len(self.vocab[attr])
 
 
+def normalize_missing(df: pd.DataFrame) -> pd.DataFrame:
+    """Every cell as ``str``, with ``None``/``NaN`` cells as ``""`` — the
+    one missing-value convention of the whole system."""
+    return df.astype(object).where(df.notna(), "").astype(str)
+
+
 def build_vocab(dirty: pd.DataFrame, attrs: list[str]):
     """Per-attribute candidate domains: the distinct non-missing values
-    observed in the dirty data (§2: candidates come from dom(A_j))."""
+    observed in the (normalized) dirty data (§2: candidates come from
+    dom(A_j))."""
     vocab: dict[str, np.ndarray] = {}
     code: dict[str, dict[str, int]] = {}
     for a in attrs:
-        vals = sorted(v for v in dirty[a].astype(str).unique() if v != "")
+        vals = sorted(v for v in dirty[a].unique() if v != "")
         vocab[a] = np.asarray(vals, dtype=object)
         code[a] = {v: i for i, v in enumerate(vals)}
     return vocab, code
 
 
 def build_cpt_table(cpt_pdf: pd.DataFrame, node: str, parents: list[str],
-                    code: dict[str, dict[str, int]]) -> dict:
-    """Spark CPT counts → {parent_cfg_tuple: (codes, counts, total)}.
-
-    The empty tuple is the config for parentless nodes.
-    """
-    table: dict[tuple, tuple] = {}
-    if not len(cpt_pdf):
-        return table
-    node_codes = cpt_pdf[node].map(code[node]).to_numpy(dtype="float64")
-    keep = ~np.isnan(node_codes)
-    cpt_pdf = cpt_pdf.loc[keep]
-    node_codes = node_codes[keep].astype("int64")
-    cnts = cpt_pdf["cnt"].to_numpy(dtype="float64")
-    if not parents:
-        table[()] = (node_codes, cnts, float(cnts.sum()))
-        return table
-    keys = list(zip(*(cpt_pdf[p].astype(str) for p in parents)))
-    key_arr = pd.Series(keys)
-    for cfg, idx in key_arr.groupby(key_arr).groups.items():
-        loc = np.asarray(idx, dtype="int64")
-        c = node_codes[loc]
-        n = cnts[loc]
-        table[cfg] = (c, n, float(n.sum()))
-    return table
+                    code: dict[str, dict[str, int]]) -> SparseTable:
+    """Spark CPT counts ``[*parents, node, cnt]`` → a table keyed by the
+    parents' configuration, with (node code, count) entries. Without
+    parents every entry is under key 0."""
+    codes = pd.DataFrame({c: value_codes(cpt_pdf[c], code[c])
+                          for c in [*parents, node]})
+    return SparseTable(config_keys(codes, parents, code), codes[node],
+                       [cpt_pdf["cnt"]], len(code[node]))
 
 
 def build_child_views(cpt_pdf: pd.DataFrame, child: str, parents: list[str],
                       code: dict[str, dict[str, int]]):
-    """Re-index a child's CPT by each of its parents.
+    """Re-index a child's CPT counts by each of its parents.
 
-    For parent p at position q, builds
-      view[(copa_cfg, e_child)] -> (codes over dom(p), counts)
-      tot[copa_cfg]            -> (codes over dom(p), totals)
+    For parent p, with co-parents the other parents, builds
+      view: key (co-parents, child value) -> (code of p, count)
+      tot:  key (co-parents)              -> (code of p, total)
     so the child factor of an inferred parent is two scatters.
     Returns ({parent: view}, {parent: tot}).
     """
-    views: dict[str, dict] = {}
-    tots: dict[str, dict] = {}
-    if not len(cpt_pdf):
-        return {p: {} for p in parents}, {p: {} for p in parents}
-    for q, p in enumerate(parents):
-        pcodes = cpt_pdf[p].map(code[p]).to_numpy(dtype="float64")
-        keep = ~np.isnan(pcodes)
-        sub = cpt_pdf.loc[keep]
-        pc = pcodes[keep].astype("int64")
-        cnt = sub["cnt"].to_numpy(dtype="float64")
-        copa_cols = [parents[r] for r in range(len(parents)) if r != q]
-        copa = (list(zip(*(sub[c].astype(str) for c in copa_cols)))
-                if copa_cols else [()] * len(sub))
-        evals = sub[child].astype(str).to_numpy(dtype=object)
-        view: dict[tuple, tuple] = {}
-        tot: dict[tuple, tuple] = {}
-        buck_v: dict[tuple, list] = {}
-        buck_t: dict[tuple, dict] = {}
-        for i in range(len(sub)):
-            kv = (copa[i], evals[i])
-            buck_v.setdefault(kv, []).append(i)
-            buck_t.setdefault(copa[i], {}).setdefault(pc[i], 0.0)
-            buck_t[copa[i]][pc[i]] += cnt[i]
-        for kv, rows in buck_v.items():
-            loc = np.asarray(rows, dtype="int64")
-            view[kv] = (pc[loc], cnt[loc])
-        for cfg, d in buck_t.items():
-            codes = np.fromiter(d.keys(), dtype="int64", count=len(d))
-            totals = np.fromiter(d.values(), dtype="float64", count=len(d))
-            tot[cfg] = (codes, totals)
-        views[p] = view
-        tots[p] = tot
+    codes = pd.DataFrame({c: value_codes(cpt_pdf[c], code[c])
+                          for c in [*parents, child]})
+    cnt = [cpt_pdf["cnt"]]
+    views: dict[str, SparseTable] = {}
+    tots: dict[str, SparseTable] = {}
+    for p in parents:
+        copa = [c for c in parents if c != p]
+        dom = len(code[p])
+        views[p] = SparseTable(config_keys(codes, copa + [child], code),
+                               codes[p], cnt, dom)
+        tots[p] = SparseTable(config_keys(codes, copa, code), codes[p],
+                              cnt, dom)
     return views, tots

@@ -1,9 +1,10 @@
-"""Bayesian network structure: DAG, user-interaction ops, sub-networks.
+"""Bayesian network structure: DAG and user-interaction ops.
 
 The network produced by ``structure.learn_skeleton`` is wrapped in
 ``BayesianNetwork``, a DAG over attributes stored as one parent list
-per node. It supports the add-edge and remove-edge user edits of §4 and
-the one-hop sub-networks of §6.1 used by the PI/PIP inference variants.
+per node. It supports the add-edge and remove-edge user edits of §4.
+The one-hop sub-networks of §6.1 used by the PI/PIP inference variants
+are read from the parent and child lists the fitted model keeps.
 §4's node merging (Fig. 2 (g)–(h)) is not implemented (see DESIGN.md);
 the paper's user study only exercises add/remove-edge edits.
 
@@ -43,9 +44,6 @@ class BayesianNetwork:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def nodes(self) -> list[str]:
-        return list(self._parents)
-
     def parents(self, v: str) -> list[str]:
         return list(self._parents[v])
 
@@ -54,10 +52,6 @@ class BayesianNetwork:
 
     def edges(self) -> list[tuple[str, str]]:
         return [(p, c) for c, ps in self._parents.items() for p in ps]
-
-    def subnetwork(self, v: str) -> set[str]:
-        """§6.1: A_joint = A_parent ∪ {v} ∪ A_child (one-hop neighborhood)."""
-        return set(self._parents[v]) | {v} | set(self.children(v))
 
     def topo_order(self) -> list[str]:
         indeg = {v: len(ps) for v, ps in self._parents.items()}
@@ -152,8 +146,3 @@ class BayesianNetwork:
             else:
                 raise ValueError(f"unknown edit op {op!r}")
         return affected
-
-    def copy(self) -> "BayesianNetwork":
-        bn = BayesianNetwork()
-        bn._parents = {v: list(ps) for v, ps in self._parents.items()}
-        return bn

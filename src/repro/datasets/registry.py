@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from .errors import inject_errors
 from .schemas import GENERATORS
@@ -50,12 +49,6 @@ class CleaningTask:
     @property
     def attrs(self) -> list[str]:
         return [c for c in self.dirty.columns if c != "tid"]
-
-    def dirty_spark(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.dirty)
-
-    def clean_spark(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.clean)
 
 
 def load_task(

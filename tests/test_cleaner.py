@@ -31,7 +31,7 @@ def test_fit_populates_model(fitted_hospital, hospital_task):
         assert len(m.uc_ok[a]) == len(m.vocab[a])
         assert m.counts[a].sum() > 0
         # a parentless node keeps only its marginal, m.counts[a]
-        assert bool(m.cpt[a]) == bool(m.network.parents(a))
+        assert bool(m.cpt[a]) == bool(m.parents[a])
 
 
 def test_clean_quality_floor_hospital(spark, hospital_task, fitted_hospital):
@@ -85,12 +85,15 @@ def test_apply_network_edits_refreshes_cpts(spark, flights_task):
     assert ("act_arr_time", "flight") in bc.model.childview
 
 
-def _cpt_keys(m):
-    """Every key of the model's CPT and child-view tables."""
+def _cpt_arrays(m):
+    """Every array of the model's CPT and child-view tables."""
+    def arrays(t):
+        return (t.keys.tolist(), t.start.tolist(), t.codes.tolist(),
+                t.vals.tolist(), t.dom)
     return (
-        {a: set(tab) for a, tab in m.cpt.items()},
-        {k: set(view) for k, view in m.childview.items()},
-        {k: set(tot) for k, tot in m.childtot.items()},
+        {a: arrays(t) for a, t in m.cpt.items()},
+        {k: arrays(t) for k, t in m.childview.items()},
+        {k: arrays(t) for k, t in m.childtot.items()},
     )
 
 
@@ -111,7 +114,7 @@ def test_apply_network_edits_matches_fresh_fit(spark, flights_task):
                              network=BayesianNetwork.from_parents(empty))
     assert bc.network.parents("act_arr_time") == []
     assert set(bc.network.edges()) == set(fresh.network.edges())
-    assert _cpt_keys(bc.model) == _cpt_keys(fresh.model)
+    assert _cpt_arrays(bc.model) == _cpt_arrays(fresh.model)
 
 
 def test_edge_filter_drops_edge_whose_reversal_would_cycle(spark):
@@ -143,6 +146,34 @@ def test_fit_rejects_duplicate_tids(spark):
                           "b": ["u", "v", "w"]})
     with pytest.raises(ValueError, match="duplicate tid"):
         BClean("PI").fit(spark, dirty)
+
+
+def test_fit_treats_none_and_nan_as_missing(spark):
+    """Real None/NaN cells are missing values, exactly like "" cells: no
+    'None'/'nan' candidates, and the same repairs."""
+    i = range(48)
+    blank = pd.DataFrame({
+        "tid": [str(k) for k in i],
+        "key": [f"k{k % 6}" for k in i],
+        "val": [f"v{k % 6}" for k in i],
+        "num": [str(float(k % 3)) for k in i],
+    })
+    blank.loc[[3, 17], "val"] = ""
+    blank.loc[[5, 30], "num"] = ""
+    blank.loc[9, "val"] = "v5"
+    real = blank.copy()
+    real.loc[3, "val"], real.loc[17, "val"] = None, float("nan")
+    real["num"] = [float(v) if v else float("nan") for v in blank["num"]]
+    fits = [BClean("PI", margin=1.0).fit(
+        spark, d, network=BayesianNetwork.from_parents(
+            {"key": [], "val": ["key"], "num": ["key"]}))
+        for d in (real, blank)]
+    for a in ("val", "num"):
+        assert not {"None", "nan", ""} & set(fits[0].model.vocab[a])
+        assert list(fits[0].model.vocab[a]) == list(fits[1].model.vocab[a])
+    repaired = [bc.clean() for bc in fits]
+    pd.testing.assert_frame_equal(repaired[0], repaired[1])
+    assert repaired[1].loc[3, "val"] == "v3"   # the missing cell is filled
 
 
 def test_clean_before_fit_raises():

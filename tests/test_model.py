@@ -1,10 +1,15 @@
-"""Tests for vocabulary / CPT-table / child-view assembly."""
+"""Tests for vocabulary / CPT-table / child-view assembly: every count
+table is a ``SparseTable``, checked against a pandas ``groupby`` of the
+same input."""
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.model import (build_child_views, build_cpt_table,
-                              build_vocab)
+from repro.core.model import (SparseTable, build_child_views,
+                              build_cpt_table, build_vocab, config_code,
+                              config_key, normalize_missing)
 
 
 @pytest.fixture()
@@ -24,18 +29,58 @@ def test_build_vocab_sorted_and_excludes_missing(frame):
     assert code["y"] == {"p": 0, "q": 1, "r": 2}
 
 
+def test_normalize_missing_maps_none_and_nan_to_empty():
+    df = pd.DataFrame({"a": ["x", None, "y"], "b": [1.5, np.nan, 2.0]})
+    out = normalize_missing(df)
+    assert out["a"].tolist() == ["x", "", "y"]
+    assert out["b"].tolist() == ["1.5", "", "2.0"]
+    vocab, _ = build_vocab(out, ["a", "b"])
+    assert list(vocab["a"]) == ["x", "y"]
+
+
 def _counts(rows, cols):
     return pd.DataFrame(rows, columns=cols)
+
+
+def _as_dict(table: SparseTable, code, cols, n_vals=1):
+    """{(config values..., entry value): value(s)} of every entry."""
+    inv = {c: {i: v for v, i in code[c].items()} for c in cols}
+    dims = [len(code[c]) for c in cols[:-1]]
+    out = {}
+    for r, key in enumerate(table.keys):
+        cfg = np.unravel_index(key, dims) if dims else ()
+        vals = tuple(inv[c][int(i)] for c, i in zip(cols, cfg))
+        for e in range(table.start[r], table.start[r + 1]):
+            v = tuple(float(table.vals[i][e]) for i in range(n_vals))
+            out[vals + (inv[cols[-1]][int(table.codes[e])],)] = (
+                v if n_vals > 1 else v[0])
+    return out
+
+
+def _groupby(pdf, cols, code):
+    """The same counts by pandas: rows with a value outside the
+    vocabulary dropped, duplicates summed."""
+    known = np.logical_and.reduce([pdf[c].isin(list(code[c])) for c in cols])
+    sums = pdf[known].groupby(cols)["cnt"].sum()
+    return {(k if isinstance(k, tuple) else (k,)): float(v)
+            for k, v in sums.items()}
+
+
+def _check_layout(table: SparseTable):
+    assert (np.diff(table.keys) > 0).all()
+    for r in range(len(table)):
+        assert (np.diff(table.codes[table.start[r]:table.start[r + 1]])
+                > 0).all()
 
 
 def test_build_cpt_table_no_parents(frame):
     vocab, code = build_vocab(frame, ["x", "y", "z"])
     pdf = _counts([("a", 3), ("b", 2)], ["x", "cnt"])
     table = build_cpt_table(pdf, "x", [], code)
-    codes, counts, total = table[()]
-    assert total == 5.0
-    got = dict(zip(codes.tolist(), counts.tolist()))
-    assert got == {0: 3.0, 1: 2.0}
+    assert table.keys.tolist() == [0]      # every entry under key 0
+    assert _as_dict(table, code, ["x"]) == _groupby(pdf, ["x"], code)
+    codes, counts = table.row(0)
+    assert counts.sum() == 5.0
 
 
 def test_build_cpt_table_one_parent(frame):
@@ -43,33 +88,45 @@ def test_build_cpt_table_one_parent(frame):
     pdf = _counts([("a", "p", 2), ("a", "r", 1), ("b", "q", 2)],
                   ["x", "y", "cnt"])
     table = build_cpt_table(pdf, "y", ["x"], code)
-    codes, counts, total = table[("a",)]
-    assert total == 3.0
-    got = dict(zip(codes.tolist(), counts.tolist()))
-    assert got == {code["y"]["p"]: 2.0, code["y"]["r"]: 1.0}
-    assert ("b",) in table and ("zzz",) not in table
+    _check_layout(table)
+    assert _as_dict(table, code, ["x", "y"]) == _groupby(pdf, ["x", "y"],
+                                                         code)
+    codes, counts = table.row(config_code(code, ["x"], ["a"]))
+    assert dict(zip(codes.tolist(), counts.tolist())) == {
+        code["y"]["p"]: 2.0, code["y"]["r"]: 1.0}
+    assert table.row(config_code(code, ["x"], ["zzz"])) is None
+    assert table.row(config_code(code, ["x"], [""])) is None
 
 
 def test_build_cpt_table_two_parents(frame):
     vocab, code = build_vocab(frame, ["x", "y", "z"])
-    pdf = _counts([("a", "p", "1", 1), ("a", "p", "2", 1), ("b", "q", "1", 1)],
+    pdf = _counts([("a", "p", "1", 1), ("a", "p", "2", 1),
+                   ("b", "q", "1", 1), ("a", "p", "1", 2)],   # a repeat
                   ["x", "y", "z", "cnt"])
     table = build_cpt_table(pdf, "z", ["x", "y"], code)
-    codes, counts, total = table[("a", "p")]
-    assert total == 2.0
-    assert set(codes.tolist()) == {code["z"]["1"], code["z"]["2"]}
+    _check_layout(table)
+    got = _as_dict(table, code, ["x", "y", "z"])
+    assert got == _groupby(pdf, ["x", "y", "z"], code)
+    assert got[("a", "p", "1")] == 3.0     # duplicate entries summed
+    key = config_code(code, ["x", "y"], ["a", "p"])
+    assert key == code["x"]["a"] * len(code["y"]) + code["y"]["p"]
 
 
 def test_build_cpt_table_skips_unknown_node_values(frame):
     vocab, code = build_vocab(frame, ["x", "y", "z"])
     pdf = _counts([("a", 3), ("GHOST", 2)], ["x", "cnt"])
     table = build_cpt_table(pdf, "x", [], code)
-    codes, counts, total = table[()]
-    assert total == 3.0  # ghost value dropped entirely
+    assert _as_dict(table, code, ["x"]) == {("a",): 3.0}
+    assert _groupby(pdf, ["x"], code) == {("a",): 3.0}
 
 
-def test_build_cpt_table_empty():
-    assert build_cpt_table(pd.DataFrame(), "x", [], {"x": {}}) == {}
+def test_build_cpt_table_empty(frame):
+    vocab, code = build_vocab(frame, ["x", "y", "z"])
+    table = build_cpt_table(_counts([], ["x", "y", "cnt"]), "y", ["x"], code)
+    assert len(table) == 0 and not table
+    assert table.row(0) is None
+    assert table.find(np.array([0, -1])).tolist() == [-1, -1]
+    assert table.dense(np.array([-1])).shape == (1, len(code["y"]))
 
 
 def test_build_child_views_single_parent(frame):
@@ -77,29 +134,64 @@ def test_build_child_views_single_parent(frame):
     pdf = _counts([("a", "p", 2), ("a", "r", 1), ("b", "q", 2)],
                   ["x", "y", "cnt"])
     views, tots = build_child_views(pdf, "y", ["x"], code)
-    # view[((), e)] -> counts over dom(x)
-    codes, counts = views["x"][((), "p")]
+    # view: key (child value) -> counts over dom(x)
+    assert _as_dict(views["x"], code, ["y", "x"]) == _groupby(
+        pdf, ["y", "x"], code)
+    codes, counts = views["x"].row(config_code(code, ["y"], ["p"]))
     assert dict(zip(codes.tolist(), counts.tolist())) == {code["x"]["a"]: 2.0}
-    codes, totals = tots["x"][()]
-    got = dict(zip(codes.tolist(), totals.tolist()))
-    assert got == {code["x"]["a"]: 3.0, code["x"]["b"]: 2.0}
+    # tot: no co-parents, so one row under key 0
+    assert _as_dict(tots["x"], code, ["x"]) == _groupby(pdf, ["x"], code)
+    assert tots["x"].keys.tolist() == [0]
 
 
 def test_build_child_views_coparents(frame):
     vocab, code = build_vocab(frame, ["x", "y", "z"])
-    pdf = _counts([("a", "p", "1", 2), ("a", "r", "1", 1), ("b", "q", "2", 2)],
+    pdf = _counts([("a", "p", "1", 2), ("a", "r", "1", 1),
+                   ("b", "q", "2", 2), ("a", "p", "2", 1)],
                   ["x", "y", "z", "cnt"])
     views, tots = build_child_views(pdf, "z", ["x", "y"], code)
-    # view keyed by (coparent cfg, child value); for parent x, copa = (y,)
-    codes, counts = views["x"][(("p",), "1")]
-    assert dict(zip(codes.tolist(), counts.tolist())) == {code["x"]["a"]: 2.0}
-    codes, totals = tots["x"][("p",)]
-    assert dict(zip(codes.tolist(), totals.tolist())) == {code["x"]["a"]: 2.0}
-    # and for parent y, copa = (x,)
-    codes, counts = views["y"][(("b",), "2")]
-    assert dict(zip(codes.tolist(), counts.tolist())) == {code["y"]["q"]: 2.0}
+    for p, copa in (("x", "y"), ("y", "x")):
+        _check_layout(views[p])
+        assert _as_dict(views[p], code, [copa, "z", p]) == _groupby(
+            pdf, [copa, "z", p], code)
+        assert _as_dict(tots[p], code, [copa, p]) == _groupby(
+            pdf, [copa, p], code)
+    # the parent-x total over co-parent y = p sums both child values
+    codes, totals = tots["x"].row(config_code(code, ["y"], ["p"]))
+    assert dict(zip(codes.tolist(), totals.tolist())) == {code["x"]["a"]: 3.0}
 
 
-def test_build_child_views_empty():
-    views, tots = build_child_views(pd.DataFrame(), "y", ["x"], {})
-    assert views == {"x": {}} and tots == {"x": {}}
+def test_build_child_views_empty(frame):
+    vocab, code = build_vocab(frame, ["x", "y", "z"])
+    views, tots = build_child_views(_counts([], ["x", "y", "cnt"]), "y",
+                                    ["x"], code)
+    assert not views["x"] and not tots["x"]
+
+
+def test_table_gathers_match_rows():
+    table = SparseTable([5, 2, 5, 5, 9], [1, 0, 3, 1, 2],
+                        [[1.0, 2.0, 3.0, 4.0, 5.0]], dom=4)
+    assert table.keys.tolist() == [2, 5, 9]
+    codes, vals = table.row(5)
+    assert codes.tolist() == [1, 3] and vals.tolist() == [5.0, 3.0]
+    rows = table.find(np.array([9, 5, 7, -1]))
+    assert rows.tolist() == [2, 1, -1, -1]
+    assert table.at(rows, np.array([2, 3, 0, 0])).tolist() == [5.0, 3.0,
+                                                                0.0, 0.0]
+    dense = table.dense(rows)
+    assert dense.tolist() == [[0, 0, 5, 0], [0, 5, 0, 3], [0] * 4, [0] * 4]
+    # a broadcast model is unpickled: same arrays, canonical dtypes (the
+    # ones ufunc.at has its fast path for)
+    back = pickle.loads(pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL))
+    assert back.vals.dtype is np.dtype(np.float64)
+    assert back.codes.dtype is np.dtype(np.int64)
+    assert back.vals.tolist() == table.vals.tolist()
+    assert back.keys.tolist() == table.keys.tolist()
+
+
+def test_config_key_marks_missing_and_rejects_overflow():
+    key = config_key(np.array([[1, 2], [0, -1], [-2, 0]]), [3, 4])
+    assert key.tolist() == [1 * 4 + 2, -1, -1]
+    assert config_key(np.zeros((2, 0), dtype=np.int64), []).tolist() == [0, 0]
+    with pytest.raises(ValueError):
+        config_key(np.array([[1, 1, 1]]), [2**31, 2**31, 2**31])
