@@ -25,9 +25,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.cpt import cpt_counts
-from repro.core.model import (build_cpt_table, build_vocab, config_code,
-                              normalize_missing)
+from repro.core.cpt import cpt_counts, value_counts
+from repro.core.model import (build_counts, build_cpt_table, build_vocab,
+                              config_code, normalize_missing)
 from repro.core.similarity import edit_distance
 from repro.datasets.registry import CleaningTask
 
@@ -88,12 +88,10 @@ class PCleanLite:
         program = PROGRAMS.get(task.name, {})
         sdf = spark.createDataFrame(dirty).cache()
         vocab, code = build_vocab(dirty, attrs)
+        counts = build_counts(value_counts(sdf, attrs), code)
+        prior = {a: (np.arange(len(vocab[a])), counts[a]) for a in attrs}
         cpt = {}
-        prior: dict[str, tuple] = {}
         for a in attrs:
-            prior_tab = build_cpt_table(cpt_counts(sdf, a, []), a, [], code)
-            prior[a] = prior_tab.row(0) or (np.empty(0, dtype="int64"),
-                                            np.empty(0))
             pars = program.get(a, [])
             if pars:
                 cpt[a] = build_cpt_table(

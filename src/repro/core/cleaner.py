@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import SparkSession, functions as F
 
 from .compensatory import build_corr_index, corr_counts
 from .constraints import UC
 from .cpt import cpt_counts, value_counts
 from .inference import InferenceParams, run_inference
 from .model import (FittedModel, SparseTable, build_child_views,
-                    build_cpt_table, build_vocab, normalize_missing,
-                    value_codes)
+                    build_counts, build_cpt_table, build_vocab,
+                    normalize_missing)
 from .network import BayesianNetwork, CycleError
 from .structure import (edge_determinism, learn_skeleton,
                         similarity_observations)
@@ -107,12 +107,12 @@ class BClean:
 
         # --- structure learning (§4), unless a network is supplied ----
         if network is None:
-            struct_src = sdf
-            n = len(dirty)
-            if n > self.struct_sample:
-                struct_src = sdf.sample(self.struct_sample / n, seed=7)
+            # the struct_sample rows with the smallest hash of tid: the
+            # same sample for the same data, whatever its row order
+            sample = sdf.orderBy(F.xxhash64("tid"), "tid").limit(
+                self.struct_sample)
             obs = similarity_observations(
-                struct_src, attrs, numeric_attrs).toPandas().to_numpy()
+                sample, attrs, numeric_attrs).toPandas().to_numpy()
             parents, _, _ = learn_skeleton(
                 obs, attrs, rho=self.rho,
                 weight_threshold=self.weight_threshold,
@@ -149,13 +149,7 @@ class BClean:
 
     def _assemble(self, sdf, dirty, attrs, vocab, code, ucs, corr_pdf):
         network = self.network
-        vc = value_counts(sdf, attrs)
-        counts: dict[str, np.ndarray] = {}
-        for a in attrs:
-            sub = vc[vc["attr"] == a]
-            c = value_codes(sub["value"], code[a])
-            counts[a] = np.bincount(c[c >= 0], sub["cnt"].to_numpy(
-                dtype="float64")[c >= 0], minlength=len(vocab[a]))
+        counts = build_counts(value_counts(sdf, attrs), code)
 
         corr = build_corr_index(corr_pdf, code)
 

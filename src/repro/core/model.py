@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 
 __all__ = ["FittedModel", "SparseTable", "config_key", "config_keys",
            "config_code", "value_codes", "normalize_missing", "build_vocab",
-           "build_cpt_table", "build_child_views"]
+           "build_counts", "build_cpt_table", "build_child_views"]
 
 
 _NO_KEY = np.iinfo(np.int64).min   # sentinel past the last row key
@@ -53,15 +53,22 @@ class SparseTable:
         entry, and duplicate (row key, code) entries are summed."""
         keys = np.asarray(keys, dtype=np.int64)
         codes = np.asarray(codes, dtype=np.int64)
-        ok = (keys >= 0) & (codes >= 0)
-        pairs, inv = np.unique(np.stack([keys[ok], codes[ok]]), axis=1,
-                               return_inverse=True)
+        ok = np.flatnonzero((keys >= 0) & (codes >= 0))
+        ok = ok[np.lexsort((codes[ok], keys[ok]))]  # stable: sums keep order
+        k, c = keys[ok], codes[ok]
+        new_key = np.ones(len(k), dtype=bool)   # run starts, sorted order
+        new_key[1:] = k[1:] != k[:-1]
+        new_pair = new_key.copy()
+        new_pair[1:] |= c[1:] != c[:-1]
+        n_pairs = int(new_pair.sum())
+        pair = np.cumsum(new_pair) - 1
         self.vals = np.array([
-            np.bincount(inv, np.asarray(v, dtype=np.float64)[ok],
-                        minlength=pairs.shape[1]) for v in vals])
-        self.keys, first = np.unique(pairs[0], return_index=True)
-        self.start = np.append(first, pairs.shape[1])
-        self.codes = np.ascontiguousarray(pairs[1])
+            np.bincount(pair, np.asarray(v, dtype=np.float64)[ok],
+                        minlength=n_pairs) for v in vals])
+        first = np.flatnonzero(new_key[new_pair])
+        self.keys = k[new_pair][first]
+        self.start = np.append(first, n_pairs)
+        self.codes = c[new_pair]
         self.dom = dom
 
     def __setstate__(self, state):
@@ -183,6 +190,18 @@ def build_vocab(dirty: pd.DataFrame, attrs: list[str]):
         vocab[a] = np.asarray(vals, dtype=object)
         code[a] = {v: i for i, v in enumerate(vals)}
     return vocab, code
+
+
+def build_counts(vc: pd.DataFrame, code: dict[str, dict[str, int]]):
+    """Spark value counts ``(attr, value, cnt)`` → each attribute's count
+    vector over its vocabulary (the model's marginals)."""
+    counts: dict[str, np.ndarray] = {}
+    for a, c in code.items():
+        sub = vc[vc["attr"] == a]
+        v = value_codes(sub["value"], c)
+        counts[a] = np.bincount(v[v >= 0], sub["cnt"].to_numpy(
+            dtype="float64")[v >= 0], minlength=len(c))
+    return counts
 
 
 def build_cpt_table(cpt_pdf: pd.DataFrame, node: str, parents: list[str],

@@ -11,6 +11,12 @@ Both kernels treat missing values (None / NaN / empty string) as
 maximally dissimilar (similarity 0) to any value, and 0-similar to
 another missing value: a missing observation carries no evidence of an
 FD holding.
+
+``edit_distance`` and ``string_similarity`` are the scalar definitions
+and the test oracle. ``similarity_series`` scores each distinct
+(a, b) pair of a column once, with Myers' bit-parallel edit distance
+(Myers, JACM 1999, in Hyyrö's 2003 formulation) on Python ints, so
+strings of any length fit one bit vector.
 """
 from __future__ import annotations
 
@@ -47,6 +53,46 @@ def edit_distance(a: str, b: str) -> int:
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
         prev = cur
     return prev[lb]
+
+
+def _bit_parallel_distance(a: str, b: str) -> int:
+    """Unit-cost Levenshtein distance, one column of the DP matrix per
+    bit vector: ``vp``/``vn`` mark the +1/−1 vertical deltas of the
+    current column, and each character of the shorter string advances
+    the column with a handful of int operations."""
+    if a == b:
+        return 0
+    i, n = 0, min(len(a), len(b))
+    while i < n and a[i] == b[i]:  # common affixes cost nothing
+        i += 1
+    j = 0
+    while j < n - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    a, b = a[i:len(a) - j], b[i:len(b) - j]
+    if len(a) < len(b):
+        a, b = b, a              # pattern: the longer string
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}     # char -> bit mask of its positions in a
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask, high = bit - 1, bit >> 1
+    vp, vn, dist = mask, 0, len(a)
+    for ch in b:
+        x = peq.get(ch, 0) | vn
+        d0 = (((x & vp) + vp) ^ vp) | x
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & high:
+            dist += 1
+        elif hn & high:
+            dist -= 1
+        x = (hp << 1) | 1        # row 0 of the DP grows by 1 per column
+        vn = x & d0 & mask
+        vp = ((hn << 1) | ~(x | d0)) & mask
+    return dist
 
 
 def _is_missing(v) -> bool:
@@ -91,7 +137,9 @@ def similarity_series(a: pd.Series, b: pd.Series, *, numeric: bool) -> np.ndarra
     """Vectorized pairwise similarity of two aligned pandas Series.
 
     This is the kernel run inside the structure-learning pandas UDF: one
-    call per (attribute, row-batch), producing one observation feature.
+    call per (pivot, attribute), producing one observation feature.
+    String values are compared as their ``str``; equal to
+    ``string_similarity`` per pair.
     """
     if numeric:
         x = pd.to_numeric(a, errors="coerce").to_numpy(dtype="float64")
@@ -102,8 +150,29 @@ def similarity_series(a: pd.Series, b: pd.Series, *, numeric: bool) -> np.ndarra
         sim = np.where(denom == 0.0, 1.0, sim)  # both zero -> identical
         sim = np.where(np.isnan(x) | np.isnan(y), 0.0, sim)
         return np.clip(sim, 0.0, 1.0)
-    out = np.empty(len(a), dtype="float64")
-    av, bv = a.to_numpy(dtype=object), b.to_numpy(dtype=object)
-    for i in range(len(out)):
-        out[i] = string_similarity(av[i], bv[i])
-    return out
+    # one code space for both sides; a pair and its mirror share a key
+    codes, text = pd.factorize(np.concatenate([_text(a), _text(b)]))
+    ca, cb = codes[:len(a)].astype(np.int64), codes[len(a):]
+    lo, hi = np.minimum(ca, cb), np.maximum(ca, cb)
+    pair, distinct = pd.factorize(lo * len(text) + hi)
+    sims = np.fromiter(
+        (_text_similarity(text[k // len(text)], text[k % len(text)])
+         for k in distinct.tolist()),
+        dtype="float64", count=len(distinct))
+    return sims[pair]
+
+
+def _text(s: pd.Series) -> np.ndarray:
+    """Each value as its ``str``; missing values as ``""``."""
+    text = s.astype(str).to_numpy(dtype=object)
+    text[s.isna().to_numpy()] = ""
+    return text
+
+
+def _text_similarity(a: str, b: str) -> float:
+    """``string_similarity`` of two ``str`` values ("" missing), with the
+    bit-parallel distance."""
+    if a == "" or b == "":
+        return 0.0
+    sim = 1.0 - 2.0 * _bit_parallel_distance(a, b) / (len(a) + len(b))
+    return max(0.0, sim)

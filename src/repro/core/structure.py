@@ -15,11 +15,13 @@ Pipeline (the FDX [65] recipe extended with similarity softening):
 4. Keep edges with |B[i, j]| above a weight threshold, capped to the
    ``max_parents`` strongest parents per node.
 
-Step 1 is the data-parallel part and runs in Spark: the dataset is
-range-partitioned and sorted by the pivot attribute, and a
-``mapInPandas`` kernel emits one similarity row per adjacent pair
-within each partition (pairs straddling partition boundaries are
-dropped — at most ``numPartitions − 1`` of the n−1 pairs per pivot).
+Step 1 reads a sample that depends only on the data: ``BClean.fit``
+keeps the ``struct_sample`` rows with the smallest 64-bit hash of
+``tid`` (``F.xxhash64``), ties broken by ``tid``.
+``similarity_observations`` collects that sample once and runs one
+``mapInPandas`` task per pivot attribute; each task sorts the sample by
+(pivot, tid) and emits every adjacent pair, so the observation matrix
+has exactly m·(n−1) rows, in pivot order, and no pair is dropped.
 Steps 2–4 operate on an m×m matrix (m ≤ 15) on the driver.
 """
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, functions as F
+from pyspark.sql import DataFrame
 from pyspark.sql.types import DoubleType, StructField, StructType
 
 from .glasso import empirical_covariance, graphical_lasso
@@ -57,49 +59,43 @@ def edge_determinism(corr_pdf: pd.DataFrame, x: str, y: str) -> tuple[float, flo
     return det, float(maxes.mean())
 
 
-def _pair_kernel(attrs: Sequence[str], numeric: set[str]):
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf) < 2:
-                continue
-            cur = pdf.iloc[1:].reset_index(drop=True)
-            prev = pdf.iloc[:-1].reset_index(drop=True)
-            out = {
-                a: similarity_series(cur[a], prev[a], numeric=a in numeric)
-                for a in attrs
-            }
-            yield pd.DataFrame(out)
-
-    return kernel
+def _pivot_pairs(sample: pd.DataFrame, attrs: Sequence[str], pivot: str,
+                 numeric: set[str]) -> pd.DataFrame:
+    """Similarity of every adjacent pair of ``sample`` sorted by
+    (pivot, tid): one row per pair, one column per attribute."""
+    s = sample.sort_values([pivot, "tid"])
+    return pd.DataFrame({
+        a: similarity_series(s[a].iloc[1:], s[a].iloc[:-1],
+                             numeric=a in numeric)
+        for a in attrs
+    })
 
 
 def similarity_observations(
-    df: DataFrame,
+    sample_sdf: DataFrame,
     attrs: Sequence[str],
     numeric_attrs: Iterable[str] = (),
-    *,
-    num_partitions: int = 8,
 ) -> DataFrame:
     """Adjacent-pair similarity observations, one DataFrame row per pair.
 
-    Returns a DataFrame with one double column per attribute and
-    ~m·(n−1) rows (the union over all m pivot sorts).
+    ``sample_sdf`` is the structure sample (n rows with a unique
+    ``tid``); it is collected once. Returns a DataFrame with one double
+    column per attribute and exactly m·(n−1) rows: for each pivot, in
+    ``attrs`` order, the pairs of the sample sorted by (pivot, tid).
     """
+    attrs = list(attrs)
     numeric = set(numeric_attrs)
+    sample = sample_sdf.select("tid", *attrs).toPandas()
     schema = StructType([StructField(a, DoubleType()) for a in attrs])
-    kernel = _pair_kernel(attrs, numeric)
-    parts = []
-    for pivot in attrs:
-        sorted_df = (
-            df.select(*attrs)
-            .repartitionByRange(num_partitions, F.col(pivot))
-            .sortWithinPartitions(pivot)
-        )
-        parts.append(sorted_df.mapInPandas(kernel, schema=schema))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.unionByName(p)
-    return out
+
+    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            for i in pdf["id"].tolist():
+                yield _pivot_pairs(sample, attrs, attrs[i], numeric)
+
+    pivots = sample_sdf.sparkSession.range(len(attrs),
+                                           numPartitions=len(attrs))
+    return pivots.mapInPandas(kernel, schema=schema)
 
 
 def decompose_precision(theta: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -156,6 +152,9 @@ def learn_skeleton(
     obs = np.asarray(obs, dtype="float64")
     if obs.shape[1] != len(attrs):
         raise ValueError("observation width must equal len(attrs)")
+    m = len(attrs)
+    if obs.shape[0] < 2:  # no pair to learn from (a 1-row frame)
+        return {a: [] for a in attrs}, np.zeros((m, m)), list(attrs)
     # Standardize columns so the homogeneous-noise sink heuristic holds;
     # constant columns (no similarity signal) are left as-is and end up
     # isolated after thresholding.
@@ -165,7 +164,6 @@ def learn_skeleton(
     S = empirical_covariance(obs)
     _, theta = graphical_lasso(S, rho=rho)
     B, order = decompose_precision(theta)
-    m = len(attrs)
     parents: dict[str, list[str]] = {a: [] for a in attrs}
     for j in range(m):
         weights = [(abs(B[i, j]), i) for i in range(m)

@@ -1,9 +1,12 @@
 """End-to-end BClean tests on small dataset instances (integration)."""
 import dataclasses
+from types import SimpleNamespace
 
+import numpy as np
 import pandas as pd
 import pytest
 
+import repro.core.cleaner as cleaner_mod
 from repro.core.cleaner import BClean
 from repro.core.inference import run_inference
 from repro.core.network import BayesianNetwork
@@ -174,6 +177,78 @@ def test_fit_treats_none_and_nan_as_missing(spark):
     repaired = [bc.clean() for bc in fits]
     pd.testing.assert_frame_equal(repaired[0], repaired[1])
     assert repaired[1].loc[3, "val"] == "v3"   # the missing cell is filled
+
+
+def _noisy_fd_frame(n: int, seed: int = 0) -> pd.DataFrame:
+    """zip -> city -> state, an independent column, 3% typos in city."""
+    g = np.random.default_rng(seed)
+    z = g.integers(0, 60, n)
+    city = np.array([f"city{v % 20:02d}" for v in z], dtype=object)
+    typo = g.random(n) < 0.03
+    city[typo] = [c[:-1] + "x" for c in city[typo]]
+    return pd.DataFrame({
+        "tid": [str(k) for k in range(n)],
+        "zip": [f"{10000 + v}" for v in z],
+        "city": city,
+        "state": [f"s{v % 20 // 5}" for v in z],
+        "color": [f"c{v}" for v in g.integers(0, 7, n)],
+    })
+
+
+def test_fit_is_reproducible(spark, monkeypatch):
+    """Two fits of one frame, the second with its rows shuffled, each from
+    a fresh Spark DataFrame: the same structure sample, so identical
+    observation matrices, learned edges and repaired frames."""
+    seen = []
+    observe = cleaner_mod.similarity_observations
+
+    def recording(*args, **kwargs):
+        out = observe(*args, **kwargs).toPandas()
+        seen.append(out)
+        return SimpleNamespace(toPandas=lambda: out)
+
+    monkeypatch.setattr(cleaner_mod, "similarity_observations", recording)
+    dirty = _noisy_fd_frame(1000)
+    fits = [BClean("PI", struct_sample=200).fit(spark, d)
+            for d in (dirty, dirty.sample(frac=1.0, random_state=3))]
+    assert len(seen[0]) == 4 * (200 - 1)
+    pd.testing.assert_frame_equal(seen[0], seen[1])
+    assert fits[0].network.edges() and (
+        sorted(fits[0].network.edges()) == sorted(fits[1].network.edges()))
+    repaired = [bc.clean() for bc in fits]
+    pd.testing.assert_frame_equal(repaired[0], repaired[1])
+    assert (repaired[0]["city"] != dirty["city"]).any()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fit_and_clean_tiny_frame(spark, n):
+    """One row gives no adjacent pair, two rows one per attribute: both
+    learn an empty network, and clean() returns the frame unchanged."""
+    dirty = pd.DataFrame({"tid": [str(k) for k in range(n)],
+                          "key": [f"k{k}" for k in range(n)],
+                          "val": [f"v{k}" for k in range(n)]})
+    bc = BClean("PI").fit(spark, dirty)
+    assert bc.network.edges() == []
+    pd.testing.assert_frame_equal(bc.clean(), dirty)
+
+
+def test_constant_and_all_missing_columns(spark):
+    """A constant and an all-missing column stay isolated and unchanged;
+    the other columns are still repaired, in every variant."""
+    dirty = _noisy_fd_frame(120, seed=1).drop(columns="color")
+    dirty["const"] = "c"
+    dirty["empty"] = ""
+    bc = BClean("PI").fit(spark, dirty)
+    assert list(bc.model.vocab["const"]) == ["c"]
+    assert len(bc.model.vocab["empty"]) == 0
+    assert not {"const", "empty"} & {a for e in bc.network.edges() for a in e}
+    typos = dirty["city"].str.endswith("x")
+    assert typos.any()
+    for variant in ("base", "PI", "PIP"):
+        bc.params = dataclasses.replace(bc.params, variant=variant)
+        r = bc.clean()
+        assert (r["const"] == "c").all() and (r["empty"] == "").all()
+        assert (r.loc[typos, "city"] != dirty.loc[typos, "city"]).any()
 
 
 def test_clean_before_fit_raises():

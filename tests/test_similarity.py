@@ -112,3 +112,51 @@ def test_similarity_series_empty():
     out = similarity_series(pd.Series([], dtype=object),
                             pd.Series([], dtype=object), numeric=False)
     assert len(out) == 0
+
+
+def _near_pairs(rng, n):
+    """``n`` (a, b) string pairs drawn from a small pool (so pairs repeat):
+    equal pairs, a few random edits apart, and unrelated; lengths from 0
+    to 150 characters (past one 64-bit word), non-ASCII included."""
+    alphabet = list("abcxyz 09éß中🙂")
+
+    def word():
+        size = rng.choice([0, 1, 2, 5, 13, 40, 63, 64, 65, 90, 150])
+        return "".join(rng.choice(alphabet, size))
+
+    def edit(s):
+        s = list(s)
+        for _ in range(rng.integers(1, 4)):
+            i = int(rng.integers(0, len(s) + 1))
+            op = rng.integers(0, 3)
+            if op == 0 or not s:
+                s.insert(i, rng.choice(alphabet))
+            elif op == 1:
+                del s[min(i, len(s) - 1)]
+            else:
+                s[min(i, len(s) - 1)] = rng.choice(alphabet)
+        return "".join(s)
+
+    pool = [word() for _ in range(40)]
+    pairs = []
+    for x in pool:
+        pairs += [(x, x), (x, edit(x)), (edit(x), x), (x, word())]
+    pairs += [(None, "a"), ("", ""), ("abc", float("nan"))]
+    idx = rng.integers(0, len(pairs), n)
+    return [pairs[i][0] for i in idx], [pairs[i][1] for i in idx]
+
+
+def test_similarity_series_string_matches_scalar_on_random_pairs():
+    rng = np.random.default_rng(2024)
+    a, b = _near_pairs(rng, 2000)
+    out = similarity_series(pd.Series(a, dtype=object),
+                            pd.Series(b, dtype=object), numeric=False)
+    expect = [string_similarity(x, y) for x, y in zip(a, b)]
+    mismatches = [(x, y, o, e) for x, y, o, e in zip(a, b, out, expect)
+                  if o != e]
+    assert not mismatches, mismatches[:3]
+    # the pool covers what the kernel must get right
+    assert len({(x, y) for x, y in zip(a, b)}) < len(a)
+    assert 0 < (out == 1.0).mean() < 1 and ((out > 0) & (out < 1)).any()
+    assert any(len(x) > 64 and 0 < s < 1
+               for x, s in zip(a, out) if isinstance(x, str))

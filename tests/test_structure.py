@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.similarity import string_similarity
 from repro.core.structure import (decompose_precision, edge_determinism,
                                   learn_skeleton, similarity_observations)
 
@@ -66,6 +67,13 @@ def test_learn_skeleton_width_mismatch():
         learn_skeleton(np.zeros((10, 3)), ["a", "b"])
 
 
+@pytest.mark.parametrize("rows", [0, 1])
+def test_learn_skeleton_without_pairs_is_empty(rows):
+    parents, B, order = learn_skeleton(np.zeros((rows, 3)), ["x", "y", "z"])
+    assert parents == {"x": [], "y": [], "z": []}
+    assert not B.any() and order == ["x", "y", "z"]
+
+
 def test_learn_skeleton_constant_column_isolated():
     obs = _sem_obs(seed=9)
     obs[:, 2] = 1.0  # constant similarity — no signal
@@ -92,20 +100,26 @@ def _fd_frame(n=400, seed=1):
 def test_similarity_observations_shape(spark):
     pdf = _fd_frame()
     sdf = spark.createDataFrame(pdf)
-    obs = similarity_observations(sdf, ["a", "b", "c"], num_partitions=4)
+    obs = similarity_observations(sdf.repartition(4), ["a", "b", "c"])
     out = obs.toPandas()
     assert list(out.columns) == ["a", "b", "c"]
-    # m sorts × (n−1 pairs, minus ≤(numPartitions−1) boundary pairs each)
+    # m sorts × n−1 adjacent pairs, none dropped, in pivot order
     n = len(pdf)
-    assert 3 * (n - 4) <= len(out) <= 3 * (n - 1)
+    assert len(out) == 3 * (n - 1)
     assert ((out >= 0) & (out <= 1)).all().all()
+    # block i: the sample sorted by (pivot i, tid), scored pair by pair
+    for i, pivot in enumerate(["a", "b", "c"]):
+        s = pdf.sort_values([pivot, "tid"]).to_dict("records")
+        expect = [[string_similarity(r[a], q[a]) for a in "abc"]
+                  for q, r in zip(s, s[1:])]
+        block = out.iloc[i * (n - 1):(i + 1) * (n - 1)].to_numpy()
+        assert (block == np.array(expect)).all()
 
 
 def test_similarity_observations_capture_fd(spark):
     pdf = _fd_frame()
     sdf = spark.createDataFrame(pdf)
-    obs = similarity_observations(sdf, ["a", "b", "c"],
-                                  num_partitions=2).toPandas().to_numpy()
+    obs = similarity_observations(sdf, ["a", "b", "c"]).toPandas().to_numpy()
     corr = np.corrcoef(obs.T)
     # The FD pair must be strongly positively correlated. (Raw Pearson
     # correlation with the independent column is NOT guaranteed small —
