@@ -38,6 +38,7 @@ class GarfLite:
         corr_pdf = corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0)
 
         # Rule discovery: single-determinant approximate FDs.
+        fds: list[tuple[str, str]] = []
         rules: list[tuple[str, str, dict[str, tuple[str, float, float]]]] = []
         for x in attrs:
             for y in attrs:
@@ -46,13 +47,14 @@ class GarfLite:
                 det, support = edge_determinism(corr_pdf, x, y)
                 if det < _MIN_CONF or support < _MIN_SUPPORT:
                     continue
-                pdf = cpt_counts(sdf, y, [x])
-                groups = {}
-                for xv, grp in pdf.groupby(x):
-                    total = float(grp["cnt"].sum())
-                    top = grp.loc[grp["cnt"].idxmax()]
-                    groups[str(xv)] = (str(top[y]), float(top["cnt"]), total)
-                rules.append((x, y, groups))
+                fds.append((x, y))
+        for (x, y), pdf in zip(fds, cpt_counts(sdf, fds)):
+            groups = {}
+            for xv, grp in pdf.groupby(x):
+                total = float(grp["cnt"].sum())
+                top = grp.loc[grp["cnt"].idxmax()]
+                groups[str(xv)] = (str(top[y]), float(top["cnt"]), total)
+            rules.append((x, y, groups))
         sdf.unpersist()
 
         cols = {a: dirty[a].to_numpy(object) for a in attrs}

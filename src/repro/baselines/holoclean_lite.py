@@ -83,8 +83,8 @@ class HoloCleanLite:
 
         # Majority consequent per determinant group, per DC (Spark).
         majority: dict[int, dict[tuple, tuple[str, float, float]]] = {}
-        for d, (lhs, rhs) in enumerate(dcs):
-            pdf = cpt_counts(sdf, rhs, list(lhs))
+        pdfs = cpt_counts(sdf, [[*lhs, rhs] for lhs, rhs in dcs])
+        for d, ((lhs, rhs), pdf) in enumerate(zip(dcs, pdfs)):
             groups: dict[tuple, tuple[str, float, float]] = {}
             if len(pdf):
                 for cfg, grp in pdf.groupby(list(lhs)):

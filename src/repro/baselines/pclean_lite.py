@@ -90,12 +90,10 @@ class PCleanLite:
         vocab, code = build_vocab(dirty, attrs)
         counts = build_counts(value_counts(sdf, attrs), code)
         prior = {a: (np.arange(len(vocab[a])), counts[a]) for a in attrs}
-        cpt = {}
-        for a in attrs:
-            pars = program.get(a, [])
-            if pars:
-                cpt[a] = build_cpt_table(
-                    cpt_counts(sdf, a, pars), a, pars, code)
+        pars = {a: program[a] for a in attrs if program.get(a)}
+        pdfs = cpt_counts(sdf, [[*ps, a] for a, ps in pars.items()])
+        cpt = {a: build_cpt_table(pdf, a, pars[a], code)
+               for a, pdf in zip(pars, pdfs)}
         cols = {a: dirty[a].to_numpy(object) for a in attrs}
         out_cols = {a: cols[a].copy() for a in attrs}
         log_vec_cache: dict = {}

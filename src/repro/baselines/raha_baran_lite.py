@@ -78,15 +78,14 @@ class RahaBaranLite:
                 if det >= 0.8 and support >= 3:
                     fds[y].append(x)
         fd_major: dict[tuple[str, str], dict[str, tuple[str, float]]] = {}
-        for y, xs in fds.items():
-            for x in xs:
-                pdf = cpt_counts(sdf, y, [x])
-                groups = {}
-                for xv, grp in pdf.groupby(x):
-                    top = grp.loc[grp["cnt"].idxmax()]
-                    groups[str(xv)] = (str(top[y]),
-                                       float(top["cnt"]) / float(grp["cnt"].sum()))
-                fd_major[(y, x)] = groups
+        fd_pairs = [(x, y) for y, xs in fds.items() for x in xs]
+        for (x, y), pdf in zip(fd_pairs, cpt_counts(sdf, fd_pairs)):
+            groups = {}
+            for xv, grp in pdf.groupby(x):
+                top = grp.loc[grp["cnt"].idxmax()]
+                groups[str(xv)] = (str(top[y]),
+                                   float(top["cnt"]) / float(grp["cnt"].sum()))
+            fd_major[(y, x)] = groups
         sdf.unpersist()
 
         cols = {a: dirty[a].to_numpy(object) for a in attrs}

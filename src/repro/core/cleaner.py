@@ -124,21 +124,25 @@ class BClean:
         # non-FD-like auto-learned edges before CPT estimation ---------
         corr_pdf = corr_counts(
             sdf, attrs, ucs, lam=self.lam, beta=self.beta, tau=self.tau)
-        auto_learned = network.edges()
-        for (u, v) in auto_learned:
+
+        def fd_like(u: str, v: str) -> bool:
             det, support = edge_determinism(corr_pdf, u, v)
-            if det >= self.det_threshold and support >= self.min_support:
-                continue
+            return det >= self.det_threshold and support >= self.min_support
+
+        dropped = [e for e in network.edges() if not fd_like(*e)]
+        for (u, v) in dropped:
             network.remove_edge(u, v)
-            # The lasso recovers the skeleton; the peeling heuristic can
-            # mis-orient an edge. If the reverse direction is FD-like,
-            # keep it reversed instead of dropping the dependency.
-            rdet, rsupport = edge_determinism(corr_pdf, v, u)
-            if rdet >= self.det_threshold and rsupport >= self.min_support:
+        # The lasso recovers the skeleton; the peeling heuristic can
+        # mis-orient an edge. If the reverse direction is FD-like, keep
+        # it reversed instead of dropping the dependency, unless that
+        # would close a cycle. Reversals are tried in sorted order, so
+        # the network depends on the learned edge set alone.
+        for (u, v) in sorted(dropped):
+            if fd_like(v, u):
                 try:
                     network.add_edge(v, u)
                 except CycleError:
-                    pass  # would cycle — drop the dependency instead
+                    pass
         if bn_edits:
             network.apply_edits(bn_edits)
 
@@ -169,27 +173,26 @@ class BClean:
             parents={a: network.parents(a) for a in attrs},
             children={a: network.children(a) for a in attrs},
         )
-        for a in attrs:
-            self._estimate_cpt(a)
+        self._estimate_cpts(attrs)
 
-    def _estimate_cpt(self, a: str) -> None:
-        """(Re)estimate the CPT of ``a`` and its child views from the
-        dirty data. A parentless attribute gets an empty CPT: its
-        marginal is ``model.counts[a]``."""
+    def _estimate_cpts(self, attrs) -> None:
+        """(Re)estimate the CPTs of ``attrs`` and their child views from
+        the dirty data, in one Spark job. A parentless attribute gets an
+        empty CPT: its marginal is ``model.counts[a]``."""
         m = self.model
-        for key in [k for k in m.childview if k[0] == a]:
+        for key in [k for k in m.childview if k[0] in attrs]:
             del m.childview[key]
             del m.childtot[key]
-        m.cpt[a] = SparseTable([], [], [[]], m.dom_size(a))
-        pars = self.network.parents(a)
-        if not pars:
-            return
-        pdf = cpt_counts(self._dirty_sdf, a, pars)
-        m.cpt[a] = build_cpt_table(pdf, a, pars, m.code)
-        views, tots = build_child_views(pdf, a, pars, m.code)
-        for p in pars:
-            m.childview[(a, p)] = views[p]
-            m.childtot[(a, p)] = tots[p]
+        for a in attrs:
+            m.cpt[a] = SparseTable([], [], [[]], m.dom_size(a))
+        pars = {a: ps for a in attrs if (ps := self.network.parents(a))}
+        pdfs = cpt_counts(self._dirty_sdf, [[*p, a] for a, p in pars.items()])
+        for (a, ps), pdf in zip(pars.items(), pdfs):
+            m.cpt[a] = build_cpt_table(pdf, a, ps, m.code)
+            views, tots = build_child_views(pdf, a, ps, m.code)
+            for p in ps:
+                m.childview[(a, p)] = views[p]
+                m.childtot[(a, p)] = tots[p]
 
     # ------------------------------------------------------------------
     def apply_network_edits(self, edits: list[tuple]) -> set[str]:
@@ -199,8 +202,7 @@ class BClean:
             raise RuntimeError("fit() first")
         affected = self.network.apply_edits(edits)
         m = self.model
-        for a in affected:
-            self._estimate_cpt(a)
+        self._estimate_cpts(affected)
         m.parents = {a: self.network.parents(a) for a in m.attrs}
         m.children = {a: self.network.children(a) for a in m.attrs}
         return affected

@@ -9,9 +9,11 @@ Two distributed computations over the dirty DataFrame:
   (A_i, A_j) and value pair (c, e) co-occurring in some tuple,
   accumulate ``+1`` per confident tuple (conf ≥ τ) and ``−β`` per
   unconfident one, plus the raw co-occurrence count used by the pruning
-  strategies (§6.2). Implemented as melt → self-join on tid → groupBy,
-  so the heavy O(n·m²) pair expansion runs in Spark, matching the
-  paper's complexity analysis.
+  strategies (§6.2). The confidence pass keeps the attribute columns and
+  adds each tuple's weight, and one grouping-sets aggregation
+  (``cpt.cpt_counts``) counts all m(m−1)/2 unordered attribute pairs,
+  so the O(n·m²) pair expansion runs in Spark, matching the paper's
+  complexity analysis, with no melt and no join on tid.
 
 ``Score_corr`` itself (Eq. 2) is evaluated at inference time from the
 driver-assembled index (``build_corr_index``): for each ordered pair
@@ -21,6 +23,7 @@ the (candidate code, weight, raw count) entries.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -29,7 +32,7 @@ from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import DoubleType, StringType, StructField, StructType
 
 from .constraints import UC, uc_mask
-from .cpt import melt
+from .cpt import cpt_counts
 from .model import SparseTable, value_codes
 
 __all__ = ["tuple_confidence", "corr_counts", "build_corr_index", "CorrIndex"]
@@ -42,11 +45,13 @@ def tuple_confidence(
     *,
     lam: float = 1.0,
 ) -> DataFrame:
-    """Eq. 3 — returns (tid, conf) with conf ∈ [0, 1]."""
+    """Eq. 3 — returns (tid, *attrs, conf) with conf ∈ [0, 1]; the
+    attribute columns ride along for ``corr_counts``' aggregation."""
     attrs = list(attrs)
     m = len(attrs)
     schema = StructType([
         StructField("tid", StringType()),
+        *[df.schema[a] for a in attrs],
         StructField("conf", DoubleType()),
     ])
 
@@ -56,7 +61,7 @@ def tuple_confidence(
             for a in attrs:
                 ok += uc_mask(ucs, a, pdf[a]).astype("int64")
             conf = np.maximum(0.0, (ok - lam * (m - ok)) / m)
-            yield pd.DataFrame({"tid": pdf["tid"].astype(str), "conf": conf})
+            yield pdf.assign(tid=pdf["tid"].astype(str), conf=conf)
 
     return df.select("tid", *attrs).mapInPandas(kernel, schema=schema)
 
@@ -74,35 +79,28 @@ def corr_counts(
 
     ``w`` is Σ_T (1[conf≥τ] − β·1[conf<τ]) over tuples containing the
     value pair; ``cnt`` is the raw co-occurrence count. Missing values
-    do not form pairs. Only ordered pairs with attr_i ≠ attr_j appear;
-    both directions are materialized by the groupBy (the melt-join
-    produces them symmetrically).
+    do not form pairs. Each unordered attribute pair is aggregated once,
+    in one ``cpt.cpt_counts`` job; both ordered directions
+    (attr_i ≠ attr_j) are emitted, since ``w`` and ``cnt`` are symmetric.
     """
-    attrs = list(attrs)
-    conf = tuple_confidence(df, attrs, ucs, lam=lam)
-    weight = F.when(F.col("conf") >= tau, F.lit(1.0)).otherwise(F.lit(-beta))
-    long = melt(df, attrs).where(F.col("value").isNotNull() & (F.col("value") != ""))
-    left = long.select(
-        F.col("tid"),
-        F.col("attr").alias("attr_i"),
-        F.col("value").alias("c"),
-    )
-    right = long.select(
-        F.col("tid"),
-        F.col("attr").alias("attr_j"),
-        F.col("value").alias("e"),
-    )
-    pairs = (
-        left.join(right, on="tid")
-        .where(F.col("attr_i") != F.col("attr_j"))
-        .join(conf, on="tid")
-        .withColumn("w", weight)
-    )
-    out = (
-        pairs.groupBy("attr_i", "attr_j", "c", "e")
-        .agg(F.sum("w").alias("w"), F.count(F.lit(1)).alias("cnt"))
-    )
-    return out.toPandas()
+    # positional column names, so that no attribute name (say 'w' or
+    # 'conf') can clash with the columns the aggregation adds
+    name = {f"_{k}": a for k, a in enumerate(attrs)}
+    pos = list(name)
+    weighted = tuple_confidence(
+        df.select("tid", *[F.col(a).alias(p) for p, a in name.items()]),
+        pos, {p: ucs[a] for p, a in name.items() if a in ucs}, lam=lam,
+    ).withColumn("w", F.when(F.col("conf") >= tau, 1.0).otherwise(-beta))
+    pairs = list(combinations(pos, 2))
+    parts = []
+    for (a, b), p in zip(pairs, cpt_counts(weighted, pairs, weight="w")):
+        for x, y in ((a, b), (b, a)):
+            parts.append(pd.DataFrame({
+                "attr_i": name[x], "attr_j": name[y], "c": p[x], "e": p[y],
+                "w": p["w"], "cnt": p["cnt"]}))
+    if not parts:
+        return pd.DataFrame(columns=["attr_i", "attr_j", "c", "e", "w", "cnt"])
+    return pd.concat(parts, ignore_index=True)
 
 
 class CorrIndex:

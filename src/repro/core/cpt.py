@@ -1,21 +1,25 @@
-"""Conditional-probability-table statistics via Spark aggregations.
+"""Model statistics via one grouping-sets Spark aggregation.
 
-All BN parameters are plain `groupBy().count()` aggregations over the
-dirty DataFrame ("our BN construction models errors as part of the
-distribution", §4). Missing values (empty string) never contribute: a
-row is excluded from a node's CPT when the node value or any parent
-value is missing, and probabilities are Laplace-smoothed at lookup time
-(``inference.py``), not here — this module only materializes counts.
+All BN parameters are counts over the dirty DataFrame ("our BN
+construction models errors as part of the distribution", §4). Missing
+values (empty string or NULL) never contribute: a row is excluded from a
+node's CPT when the node value or any parent value is missing, and
+probabilities are Laplace-smoothed at lookup time (``inference.py``),
+not here — this module only materializes counts.
 
-``value_counts`` gives every attribute's value frequencies in one job;
-they are the model's only marginal. ``cpt_counts`` is run once per
-attribute that has parents.
+``cpt_counts`` is the one aggregation behind every statistic (§3's
+"statistics collection"): it counts the value combinations of a list of
+column families in a single ``GROUPING SETS`` job (the data-cube
+operator of Gray et al., ICDE 1996) and splits the result on the driver
+by ``grouping_id()``. A group with a missing key is dropped after the
+aggregation, which equals filtering the rows before it because the
+filter reads only the family's own columns. It runs once over every
+``[*parents, node]`` family, ``value_counts`` (the model's only
+marginal) runs it over the singleton families, and
+``compensatory.corr_counts`` over the attribute pairs.
 
-Each function returns a *pandas* DataFrame: the outputs are model-sized
-(bounded by the number of distinct value combinations), collected to
-the driver to assemble the broadcastable ``FittedModel``. Every
-aggregation here is oracle-checked against DuckDB SQL in
-``tests/test_cpt.py``.
+The outputs are model-sized *pandas* DataFrames, oracle-checked against
+DuckDB SQL in ``tests/test_cpt.py``.
 """
 from __future__ import annotations
 
@@ -24,53 +28,45 @@ from typing import Sequence
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
-__all__ = ["cpt_counts", "value_counts", "melt"]
+__all__ = ["cpt_counts", "value_counts"]
 
 
-def _non_missing(c: str):
-    col = F.col(c)
-    return col.isNotNull() & (col != F.lit(""))
+def cpt_counts(df: DataFrame, families: Sequence[Sequence[str]],
+               weight: str | None = None) -> list[pd.DataFrame]:
+    """Row count (and the sum of column ``weight``) of every value
+    combination with no missing value of each family of columns, such
+    as ``[*parents, node]``, in one Spark job.
 
-
-def cpt_counts(df: DataFrame, node: str,
-               parents: Sequence[str] = ()) -> pd.DataFrame:
-    """Counts for the CPT of ``node`` given ``parents``.
-
-    Returns columns ``[*parents, node, cnt]``.
+    Returns one frame ``[*family, cnt]`` (``[*family, cnt, w]`` with
+    ``weight``) per family, in order. Families over the same column set
+    share one grouping set.
     """
-    cols = [*parents, node]
-    cond = None
-    for c in cols:
-        cond = _non_missing(c) if cond is None else cond & _non_missing(c)
-    out = (
-        df.where(cond)
-        .groupBy(*cols)
-        .agg(F.count(F.lit(1)).alias("cnt"))
-    )
-    return out.toPandas()
+    families = [list(f) for f in families]
+    if not families:
+        return []
+    cols = list(dict.fromkeys(c for f in families for c in f))
+    sets = list(dict.fromkeys(frozenset(f) for f in families))
+    # grouping_id() sets bit (n-1-i) when cols[i] is not grouped
+    gid = {s: sum(1 << (len(cols) - 1 - i) for i, c in enumerate(cols)
+                  if c not in s) for s in sets}
+    aggs = [F.count(F.lit(1)).alias("cnt")]
+    if weight is not None:
+        aggs.append(F.sum(weight).alias("w"))
+    stats = ["cnt", "w"][:len(aggs)]
+    out = (df.groupingSets([[c for c in cols if c in s] for s in sets], *cols)
+           .agg(F.grouping_id().alias("_gid"), *aggs).toPandas())
+    res = []
+    for f in families:
+        sub = out.loc[out["_gid"] == gid[frozenset(f)], [*f, *stats]]
+        keep = (sub[f].notna() & (sub[f] != "")).all(axis=1)
+        res.append(sub[keep].reset_index(drop=True))
+    return res
 
 
 def value_counts(df: DataFrame, attrs: Sequence[str]) -> pd.DataFrame:
     """Non-missing value frequencies for every attribute, long format
     ``(attr, value, cnt)`` — the §3 "value frequency" statistic."""
-    parts = []
-    for a in attrs:
-        parts.append(
-            df.where(_non_missing(a))
-            .groupBy(F.col(a).alias("value"))
-            .agg(F.count(F.lit(1)).alias("cnt"))
-            .withColumn("attr", F.lit(a))
-        )
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.unionByName(p)
-    return out.select("attr", "value", "cnt").toPandas()
-
-
-def melt(df: DataFrame, attrs: Sequence[str], id_col: str = "tid") -> DataFrame:
-    """Wide→long: one row per (tid, attr, value), via a stack expression."""
-    pairs = ", ".join(f"'{a}', `{a}`" for a in attrs)
-    return df.select(
-        F.col(id_col),
-        F.expr(f"stack({len(attrs)}, {pairs}) as (attr, value)"),
-    )
+    parts = cpt_counts(df, [[a] for a in attrs])
+    return pd.concat(
+        [pd.DataFrame({"attr": a, "value": p[a], "cnt": p["cnt"]})
+         for a, p in zip(attrs, parts)], ignore_index=True)

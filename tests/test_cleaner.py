@@ -120,22 +120,45 @@ def test_apply_network_edits_matches_fresh_fit(spark, flights_task):
     assert _cpt_arrays(bc.model) == _cpt_arrays(fresh.model)
 
 
+def _fd_cycle_frame() -> pd.DataFrame:
+    """u → w, w → v and v → u are FD-like (det ≥ 0.5, support ≥ 2);
+    u → v and v → w are not."""
+    rows = ["000", "000", "020", "021", "022", "022", "031", "100",
+            "111", "120", "121", "130", "131", "132", "132"]
+    return pd.DataFrame({
+        "tid": [str(k) for k in range(len(rows))],
+        "u": [f"u{r[0]}" for r in rows],
+        "w": [f"w{r[1]}" for r in rows],
+        "v": [f"v{r[2]}" for r in rows],
+    })
+
+
 def test_edge_filter_drops_edge_whose_reversal_would_cycle(spark):
     """u -> v is not FD-like but v -> u is. Reversing it would close the
-    cycle v -> u -> w -> v, so the edge filter drops it and fit goes on."""
-    i = range(64)
-    dirty = pd.DataFrame({
-        "tid": [str(k) for k in i],
-        "u": [f"u{(k % 8) // 4}" for k in i],   # v determines u
-        "w": [f"w{k % 3}" for k in i],
-        "v": [f"v{k % 8}" for k in i],
-    })
+    cycle v -> u -> w -> v through kept edges, so the edge filter drops
+    it and fit goes on."""
     net = BayesianNetwork.from_parents({"v": ["u", "w"], "w": ["u"], "u": []})
-    assert net.edges()[0] == ("u", "v")  # filtered while u -> w -> v exists
-    bc = BClean("PI").fit(spark, dirty, network=net)
-    edges = set(bc.network.edges())
-    assert ("u", "v") not in edges and ("v", "u") not in edges
+    assert net.edges()[0] == ("u", "v")
+    bc = BClean("PI").fit(spark, _fd_cycle_frame(), network=net)
+    assert set(bc.network.edges()) == {("u", "w"), ("w", "v")}
     assert bc.model is not None
+
+
+def test_edge_filter_ignores_edge_order(spark):
+    """The filtered network depends on the learned edge set, not on the
+    order its edges are listed in. u -> w is kept; v -> w and u -> v are
+    not FD-like but their reversals are, and with u -> w the two
+    reversals close a cycle, so only the first one tried is added.
+    Reversals are tried in sorted order of the learned edges: u -> v
+    becomes v -> u, and w -> v is skipped."""
+    parents = {"u": [], "w": ["u", "v"], "v": ["u"]}
+    permuted = {a: ps[::-1] for a, ps in reversed(parents.items())}
+    edges = []
+    for ps in (parents, permuted):
+        bc = BClean("PI").fit(spark, _fd_cycle_frame(),
+                              network=BayesianNetwork.from_parents(ps))
+        edges.append(set(bc.network.edges()))
+    assert edges[0] == edges[1] == {("u", "w"), ("v", "u")}
 
 
 def test_fit_requires_tid_column(spark):
@@ -220,13 +243,15 @@ def test_fit_is_reproducible(spark, monkeypatch):
     assert (repaired[0]["city"] != dirty["city"]).any()
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_fit_and_clean_tiny_frame(spark, n):
-    """One row gives no adjacent pair, two rows one per attribute: both
+@pytest.mark.parametrize("n, cols", [(1, ["key", "val"]),
+                                     (2, ["key", "val"]), (3, ["key"])],
+                         ids=["1", "2", "one-attr"])
+def test_fit_and_clean_tiny_frame(spark, n, cols):
+    """One row gives no adjacent pair, two rows one per attribute, and
+    one attribute no attribute pair (an empty corr dictionary): all
     learn an empty network, and clean() returns the frame unchanged."""
     dirty = pd.DataFrame({"tid": [str(k) for k in range(n)],
-                          "key": [f"k{k}" for k in range(n)],
-                          "val": [f"v{k}" for k in range(n)]})
+                          **{c: [f"{c}{k}" for k in range(n)] for c in cols}})
     bc = BClean("PI").fit(spark, dirty)
     assert bc.network.edges() == []
     pd.testing.assert_frame_equal(bc.clean(), dirty)

@@ -8,7 +8,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.cpt import cpt_counts, melt, value_counts
+from repro.core.cpt import cpt_counts, value_counts
 from repro.oracle import assert_equivalent
 
 
@@ -35,7 +35,7 @@ def sframe(spark, frame):
 
 
 def test_cpt_counts_no_parents_oracle(spark, sframe, frame):
-    out = cpt_counts(sframe, "a", [])
+    [out] = cpt_counts(sframe, [["a"]])
     assert_equivalent(
         spark.createDataFrame(out),
         "SELECT a, COUNT(*)::BIGINT AS cnt FROM t WHERE a <> '' GROUP BY a",
@@ -44,7 +44,7 @@ def test_cpt_counts_no_parents_oracle(spark, sframe, frame):
 
 
 def test_cpt_counts_one_parent_oracle(spark, sframe, frame):
-    out = cpt_counts(sframe, "b", ["a"])
+    [out] = cpt_counts(sframe, [["a", "b"]])
     assert_equivalent(
         spark.createDataFrame(out),
         "SELECT a, b, COUNT(*)::BIGINT AS cnt FROM t "
@@ -54,7 +54,7 @@ def test_cpt_counts_one_parent_oracle(spark, sframe, frame):
 
 
 def test_cpt_counts_two_parents_oracle(spark, sframe, frame):
-    out = cpt_counts(sframe, "c", ["a", "b"])
+    [out] = cpt_counts(sframe, [["a", "b", "c"]])
     assert_equivalent(
         spark.createDataFrame(out),
         "SELECT a, b, c, COUNT(*)::BIGINT AS cnt FROM t "
@@ -78,21 +78,62 @@ def test_value_counts_oracle(spark, sframe, frame):
     )
 
 
-def test_melt_oracle(spark, sframe, frame):
-    out = melt(sframe, ["a", "b"])
-    assert_equivalent(
-        out,
-        "SELECT tid, 'a' AS attr, a AS value FROM t "
-        "UNION ALL SELECT tid, 'b', b FROM t",
-        t=frame,
-    )
-
-
 def test_cpt_counts_total_matches_nonmissing_rows(sframe, frame):
-    out = cpt_counts(sframe, "a", [])
+    [out] = cpt_counts(sframe, [["a"]])
     assert out["cnt"].sum() == (frame["a"] != "").sum()
 
 
 def test_value_counts_covers_every_attr(sframe):
     out = value_counts(sframe, ["a", "b", "c"])
     assert set(out["attr"]) == {"a", "b", "c"}
+
+
+@pytest.fixture(scope="module")
+def mixed(frame):
+    """``frame`` plus a fourth key column ``d``, a weight ``w``, real
+    NULLs next to ``""`` keys, and a column ``z`` with no value at all."""
+    g = np.random.default_rng(1)
+    pdf = frame.copy()
+    pdf["d"] = [f"d{v}" for v in g.integers(0, 3, len(pdf))]
+    pdf["w"] = g.choice([1.0, -2.0], len(pdf))
+    pdf["z"] = [None, ""] * (len(pdf) // 2)
+    pdf.loc[[3, 11], "a"] = None
+    pdf.loc[4, "d"] = None
+    pdf.loc[8, "d"] = ""
+    return pdf
+
+
+def _family_sql(fam, weight=False):
+    cols = ", ".join(fam)
+    where = " AND ".join(f"COALESCE({c}, '') <> ''" for c in fam)
+    w = ", SUM(w) AS w" if weight else ""
+    return (f"SELECT {cols}, COUNT(*)::BIGINT AS cnt{w} FROM t "
+            f"WHERE {where} GROUP BY {cols}")
+
+
+def test_cpt_counts_families_oracle(spark, mixed):
+    """One grouping-sets job equals one filtered GROUP BY per family:
+    sizes 1-4, one column set in two orders (deduped, not counted
+    twice), NULL keys told apart from ungrouped columns, and a family
+    whose every key is missing."""
+    fams = [["a"], ["d"], ["b", "a"], ["a", "b"], ["c", "a", "d"],
+            ["a", "b", "c", "d"], ["d", "z"]]
+    outs = cpt_counts(spark.createDataFrame(mixed), fams)
+    assert len(outs) == len(fams)
+    for fam, out in zip(fams[:-1], outs):
+        assert list(out.columns) == [*fam, "cnt"]
+        assert_equivalent(spark.createDataFrame(out), _family_sql(fam),
+                          t=mixed)
+    assert list(outs[-1].columns) == ["d", "z", "cnt"]
+    assert outs[-1].empty
+
+
+def test_cpt_counts_weighted_pair_oracle(spark, mixed):
+    """A corr pair family with its summed weight, as corr_counts runs
+    it, next to the same pair reversed."""
+    outs = cpt_counts(spark.createDataFrame(mixed),
+                      [["a", "d"], ["d", "a"]], weight="w")
+    for fam, out in zip([["a", "d"], ["d", "a"]], outs):
+        assert list(out.columns) == [*fam, "cnt", "w"]
+        assert_equivalent(spark.createDataFrame(out),
+                          _family_sql(fam, weight=True), t=mixed)

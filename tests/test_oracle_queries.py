@@ -14,7 +14,7 @@ def hosp(spark, hospital_task):
 
 
 def test_hospital_prior_counts_oracle(spark, hosp, hospital_task):
-    out = cpt_counts(hosp, "State", [])
+    [out] = cpt_counts(hosp, [["State"]])
     assert_equivalent(
         spark.createDataFrame(out),
         "SELECT State, COUNT(*)::BIGINT AS cnt FROM t "
@@ -24,7 +24,7 @@ def test_hospital_prior_counts_oracle(spark, hosp, hospital_task):
 
 
 def test_hospital_cpt_counts_oracle(spark, hosp, hospital_task):
-    out = cpt_counts(hosp, "State", ["City"])
+    [out] = cpt_counts(hosp, [["City", "State"]])
     assert_equivalent(
         spark.createDataFrame(out),
         "SELECT City, State, COUNT(*)::BIGINT AS cnt FROM t "
@@ -35,7 +35,7 @@ def test_hospital_cpt_counts_oracle(spark, hosp, hospital_task):
 
 def test_hospital_stateavg_cpt_two_parents_oracle(spark, hosp,
                                                   hospital_task):
-    out = cpt_counts(hosp, "StateAvg", ["State", "MeasureCode"])
+    [out] = cpt_counts(hosp, [["State", "MeasureCode", "StateAvg"]])
     assert_equivalent(
         spark.createDataFrame(out),
         "SELECT State, MeasureCode, StateAvg, COUNT(*)::BIGINT AS cnt "
