@@ -40,11 +40,12 @@ class GarfLite:
         # Rule discovery: single-determinant approximate FDs.
         fds: list[tuple[str, str]] = []
         rules: list[tuple[str, str, dict[str, tuple[str, float, float]]]] = []
+        determinism = edge_determinism(corr_pdf, attrs)
         for x in attrs:
             for y in attrs:
                 if x == y:
                     continue
-                det, support = edge_determinism(corr_pdf, x, y)
+                det, support = determinism[(x, y)]
                 if det < _MIN_CONF or support < _MIN_SUPPORT:
                     continue
                 fds.append((x, y))

@@ -70,11 +70,12 @@ class RahaBaranLite:
         corr = build_corr_index(corr_pdf, code)
         # Mine approximate FDs from the dirty data (for D4 + corrector).
         fds: dict[str, list[str]] = {a: [] for a in attrs}
+        determinism = edge_determinism(corr_pdf, attrs)
         for x in attrs:
             for y in attrs:
                 if x == y:
                     continue
-                det, support = edge_determinism(corr_pdf, x, y)
+                det, support = determinism[(x, y)]
                 if det >= 0.8 and support >= 3:
                     fds[y].append(x)
         fd_major: dict[tuple[str, str], dict[str, tuple[str, float]]] = {}

@@ -125,8 +125,10 @@ class BClean:
         corr_pdf = corr_counts(
             sdf, attrs, ucs, lam=self.lam, beta=self.beta, tau=self.tau)
 
+        determinism = edge_determinism(corr_pdf, attrs)
+
         def fd_like(u: str, v: str) -> bool:
-            det, support = edge_determinism(corr_pdf, u, v)
+            det, support = determinism[(u, v)]
             return det >= self.det_threshold and support >= self.min_support
 
         dropped = [e for e in network.edges() if not fd_like(*e)]

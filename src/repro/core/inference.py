@@ -54,10 +54,15 @@ from row keys of value codes, and share the factor formulas:
 * ``PI`` / ``PIP`` run one batched numpy kernel over the batch encoded
   once into value codes (missing and out-of-vocabulary values get
   distinct negative codes). Per target attribute, each factor vector is
-  built once per distinct table row the batch reads, and rows are
-  scored in blocks as (rows × dom) matrices in the loop's order, so
-  repairs are bit-identical to the loop's. PIP computes the tuple
-  filter for every row first, so skipped cells are never scored.
+  built once per distinct table row the batch reads, and factors are
+  summed in the loop's order, so repairs are bit-identical to the
+  loop's. PI scores rows in blocks as (rows × dom) matrices. PIP
+  computes the tuple filter for every row first, so skipped cells are
+  never scored, and then scores only the candidates domain pruning
+  keeps: for a cell with blanket evidence, the kept candidates come
+  straight from its blanket corr rows, and it is scored at those and at
+  its original value; a cell without blanket evidence keeps its whole
+  domain and is scored as in PI.
 """
 from __future__ import annotations
 
@@ -69,7 +74,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .model import FittedModel, config_code, config_keys, value_codes
-from .pruning import (domain_prune_mask, domain_prune_rows, tuple_filter,
+from .pruning import (domain_prune_mask, domain_prune_pairs, tuple_filter,
                       tuple_filter_rows)
 
 __all__ = ["InferenceParams", "clean_batch", "run_inference"]
@@ -426,12 +431,58 @@ def _bn_factors(model: FittedModel, codes: pd.DataFrame, j: str,
     return prow, ptab, kids, delta
 
 
+def _pair_scores(ptab, prow, kids, corr, rows, cand) -> np.ndarray:
+    """Score of candidate code ``cand[i]`` for batch row ``rows[i]``: the
+    parent factor, then each child's, then the CS term over the corr
+    weights summed over ``attrs`` — the loop's order, so each score is
+    bit-identical to its entry of the dense (rows × dom) matrix (an
+    absent corr entry adds 0.0, which is exact)."""
+    score = ptab[prow[rows], cand]
+    for crow, ctab in kids:
+        score += ctab[crow[rows], cand]
+    w_sum = np.zeros(len(rows))
+    cnt_sum = np.zeros(len(rows))
+    for _, table, krow in corr:
+        w, cnt = table.at(krow[rows], cand)
+        w_sum += w
+        cnt_sum += cnt
+    return score + _cs_term(w_sum, cnt_sum)
+
+
+def _kept_candidates(model: FittedModel, j: str, top_k: int,
+                     blanket: list, rows: np.ndarray):
+    """§6.2 domain pruning of ``j`` for batch rows ``rows`` with blanket
+    evidence, whose corr rows are ``blanket`` [(table, row per batch
+    row)]: the surviving (position in ``rows``, candidate code) pairs,
+    sorted. A candidate's context is the number of those corr rows in
+    which it has a positive count."""
+    dom = model.dom_size(j)
+    keys = []
+    for table, krow in blanket:
+        pos, src = table.expand(krow[rows])
+        seen = table.vals[1][src] > 0
+        keys.append(pos[seen] * dom + table.codes[src][seen])
+    key = np.sort(np.concatenate(keys))
+    first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    context = np.diff(np.append(first, len(key)))
+    pos, cand = np.divmod(key[first], dom)
+    keep = domain_prune_pairs(pos, cand, context, model.counts[j],
+                              model.n_rows, top_k=top_k)
+    return pos[keep], cand[keep]
+
+
 def _repair_attr(model: FittedModel, params: InferenceParams,
                  codes: pd.DataFrame, j: str, out_j: np.ndarray) -> None:
-    """Score and repair every cell of attribute ``j`` in the batch, in
-    blocks of ``_BLOCK`` rows as (rows × dom) matrices accumulated in the
-    loop's order — corr weights over ``attrs``, parent, children, CS
-    term — so repairs are bit-identical to ``_clean_loop``."""
+    """Score and repair every cell of attribute ``j`` in the batch.
+
+    PI rows, and PIP rows without blanket evidence (domain pruning keeps
+    their whole domain), are scored in blocks of ``_BLOCK`` rows as
+    (rows × dom) matrices, accumulated in the loop's order: parent,
+    children, then the CS term over corr weights summed over ``attrs``.
+    PIP rows with blanket evidence are scored only at their kept
+    candidates and their original value, in the same order
+    (``_pair_scores``). Either way repairs are bit-identical to
+    ``_clean_loop``."""
     dom = model.dom_size(j)
     n = len(out_j)
     oc = codes[j].to_numpy()
@@ -448,61 +499,77 @@ def _repair_attr(model: FittedModel, params: InferenceParams,
     prow, ptab, kids, delta = _bn_factors(model, codes, j, oc0, has_orig)
 
     # --- PIP: tuple filter for every row, before any scoring ----------
-    pip = params.variant == "PIP"
-    active = np.arange(n)
-    blanket = set(model.parents[j]) | set(model.children[j]) if pip else set()
-    if pip:
+    dense = np.arange(n)     # rows scored over the whole domain
+    pruned = dense[:0]       # rows scored over their kept candidates
+    if params.variant == "PIP":
+        blanket = set(model.parents[j]) | set(model.children[j])
         cnt_at = np.zeros((n, len(corr)))
         denom = np.zeros((n, len(corr)))
         has_blanket = np.zeros(n, dtype=bool)
         for i, (k, table, krow) in enumerate(corr):
             ecode = np.maximum(codes[k].to_numpy(), 0)
-            cnt_at[:, i] = table.at(krow, oc0, 1)
+            cnt_at[:, i] = table.at(krow, oc0)[1]
             denom[:, i] = np.where(has_orig & (krow >= 0),
                                    model.counts[k][ecode], 0.0)
             if k in blanket:
                 has_blanket |= krow >= 0
         f = tuple_filter_rows(cnt_at, denom)
-        active = np.flatnonzero(~has_orig | (f < params.tau_clean))
+        active = ~has_orig | (f < params.tau_clean)
+        dense = np.flatnonzero(active & ~has_blanket)
+        pruned = np.flatnonzero(active & has_blanket)
 
-    # --- score the remaining rows block by block ----------------------
-    uc = model.uc_ok[j]
-    for s in range(0, len(active), _BLOCK):
-        r = active[s:s + _BLOCK]
+    uc = model.uc_ok[j] if params.use_ucs else np.ones(dom, dtype=bool)
+
+    def orig_score(r, score_at_orig):
+        # §7.3.1: a pattern-violating original cannot win
+        return np.where(has_orig[r] & uc[oc0[r]], score_at_orig + delta[r],
+                        _NEG_INF)
+
+    def repair(r, best, top, p_orig):
+        fix = ((best != oc[r]) & (top > p_orig + params.margin)
+               & (top > _NEG_INF))
+        out_j[r[fix]] = model.vocab[j][best[fix]]
+
+    # --- whole domain, block by block ---------------------------------
+    for s in range(0, len(dense), _BLOCK):
+        r = dense[s:s + _BLOCK]
         b = np.arange(len(r))
         w_sum = np.zeros(len(r) * dom)
         cnt_sum = np.zeros(len(r) * dom)
-        ctx = np.zeros(len(r) * dom) if pip else None
-        for k, table, krow in corr:
+        for _, table, krow in corr:
             pos, src = table.expand(krow[r])
             at = pos * dom + table.codes[src]
-            w, cnt = table.vals[0][src], table.vals[1][src]
-            np.add.at(w_sum, at, w)
-            np.add.at(cnt_sum, at, cnt)
-            if k in blanket:
-                # a float operand: ufunc.at is ~25x slower on a bool one
-                np.add.at(ctx, at, (cnt > 0).astype(np.float64))
+            np.add.at(w_sum, at, table.vals[0][src])
+            np.add.at(cnt_sum, at, table.vals[1][src])
         score = ptab[prow[r]]
         for crow, ctab in kids:
             score += ctab[crow[r]]
         score += _cs_term(w_sum, cnt_sum).reshape(len(r), dom)
-
-        o, o0 = oc[r], oc0[r]
-        ok = o >= 0
-        if params.use_ucs:
-            # §7.3.1: a pattern-violating original cannot win
-            ok &= uc[o0]
-        p_orig = np.where(ok, score[b, o0] + delta[r], _NEG_INF)
-        cand = np.where(uc, score, _NEG_INF) if params.use_ucs else score
-        if pip:
-            keep = domain_prune_rows(ctx.reshape(len(r), dom),
-                                     has_blanket[r], model.counts[j],
-                                     model.n_rows, top_k=params.top_k)
-            cand = np.where(keep, cand, _NEG_INF)
+        cand = np.where(uc, score, _NEG_INF)
         best = cand.argmax(axis=1)
-        top = cand[b, best]
-        fix = (best != o) & (top > p_orig + params.margin) & (top > _NEG_INF)
-        out_j[r[fix]] = model.vocab[j][best[fix]]
+        repair(r, best, cand[b, best], orig_score(r, score[b, oc0[r]]))
+
+    # --- kept candidates only -----------------------------------------
+    if len(pruned):
+        pos, cand = _kept_candidates(
+            model, j, params.top_k,
+            [(table, krow) for k, table, krow in corr if k in blanket],
+            pruned)
+        # the kept candidates, then every row's original value
+        score = _pair_scores(ptab, prow, kids, corr,
+                             np.concatenate([pruned[pos], pruned]),
+                             np.concatenate([cand, oc0[pruned]]))
+        at_orig = score[len(pos):]
+        score = np.where(uc[cand], score[:len(pos)], _NEG_INF)
+        # per row, the best score and the lowest code reaching it (the
+        # dense argmax's tie rule)
+        rows, first, size = np.unique(pos, return_index=True,
+                                      return_counts=True)
+        top = np.maximum.reduceat(score, first)
+        at_top = score == np.repeat(top, size)
+        best = np.minimum.reduceat(np.where(at_top, cand, dom), first)
+        r = pruned[rows]
+        repair(r, best, top, orig_score(r, at_orig[rows]))
 
 
 def clean_batch(pdf: pd.DataFrame, model: FittedModel,
@@ -538,13 +605,16 @@ def run_inference(spark: SparkSession, dirty: DataFrame, model: FittedModel,
             yield clean_batch(pdf, m, params)
 
     n_parts = max(2, spark.sparkContext.defaultParallelism)
-    out = (
-        dirty.select("tid", *model.attrs)
-        .repartition(n_parts)
-        .mapInPandas(kernel, schema=schema)
-        .toPandas()
-    )
-    bc.unpersist()
+    try:
+        out = (
+            dirty.select("tid", *model.attrs)
+            .repartition(n_parts)
+            .mapInPandas(kernel, schema=schema)
+            .toPandas()
+        )
+    finally:
+        # also deletes the driver's pickled copy, which unpersist keeps
+        bc.destroy()
     numeric = out["tid"].str.fullmatch(r"[+-]?\d+").all()
     key = (lambda s: s.astype(int)) if numeric else None
     return out.sort_values("tid", key=key).reset_index(drop=True)

@@ -70,12 +70,17 @@ class SparseTable:
         self.start = np.append(first, n_pairs)
         self.codes = c[new_pair]
         self.dom = dom
+        self._flat = None   # ``at``'s entry keys, made on first use
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_flat"}
 
     def __setstate__(self, state):
         # an unpickled (broadcast) array has an equal but distinct dtype
         # object, on which ufunc.at runs ~30x slower: restore the canonical
         self.__dict__ = {k: v.view(v.dtype.type) if isinstance(v, np.ndarray)
                          else v for k, v in state.items()}
+        self._flat = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -110,15 +115,26 @@ class SparseTable:
         out[pos, self.codes[src]] = self.vals[i][src]
         return out
 
-    def at(self, rows: np.ndarray, codes: np.ndarray, i: int = 0):
-        """Value ``i`` at (row ``rows[r]``, ``codes[r]``) for every r; 0
-        where the row is -1 or has no such code."""
-        flat = (np.repeat(np.arange(len(self.keys)), np.diff(self.start))
-                * self.dom + self.codes)
+    def at(self, rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """(len(vals), len(rows)) matrix: every value at (row ``rows[i]``,
+        ``codes[i]``) for every i; 0 where the row is -1 or has no such
+        code. When the whole table, made dense, is not much larger than
+        the lookups, they read it; else each is found among the entries."""
+        if self._flat is None:   # every entry as row * dom + code, ascending
+            self._flat = np.append(
+                np.repeat(np.arange(len(self.keys)), np.diff(self.start))
+                * self.dom + self.codes, _NO_KEY)
+        flat = self._flat[:-1]
         q = np.where(rows >= 0, rows * self.dom + codes, -1)
-        pos = np.searchsorted(flat, q)
-        hit = np.append(flat, _NO_KEY)[pos] == q
-        return np.where(hit, np.append(self.vals[i], 0.0)[pos], 0.0)
+        if len(self.keys) * self.dom <= 4 * len(q):
+            dense = np.zeros((len(self.vals), len(self.keys) * self.dom + 1))
+            dense[:, flat] = self.vals
+            return dense[:, q]   # q = -1 reads the last column, which is 0
+        i = np.searchsorted(flat, q)
+        hit = self._flat[i] == q
+        out = np.zeros((len(self.vals), len(q)))
+        out[:, hit] = self.vals[:, i[hit]]
+        return out
 
 
 def config_key(codes: np.ndarray, dims: Sequence[int]) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Pruning strategies (paper §6.2) as pure numpy kernels.
 
 Each strategy has a per-cell form, over the dense gather vectors of one
-cell (used by the reference loop in ``inference.py``), and a row-wise
-form over a batch of cells (used by the batched PI/PIP kernel). The
-row-wise forms are checked against the per-cell ones in
-``tests/test_pruning.py``:
+cell (used by the reference loop in ``inference.py``), and a batch form
+over many cells (used by the batched PIP kernel). The batch forms are
+checked against the per-cell ones in ``tests/test_pruning.py``:
 
 * ``tuple_filter`` — Filter(T, A_i): the mean, over evidence
   attributes, of count(T[A_i], T[A_k]) / count(T[A_k]). Cells with
@@ -14,14 +13,16 @@ row-wise forms are checked against the per-cell ones in
   where context(v) counts the blanket evidence values v co-occurs
   with; only the top-K positive-score candidates stay.
 
-The row-wise forms are ``tuple_filter_rows`` and ``domain_prune_rows``.
+The batch forms are ``tuple_filter_rows``, over rows × evidence
+columns, and ``domain_prune_pairs``, over the (cell, candidate) pairs
+with blanket context only: PIP scores only the candidates it keeps.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = ["tuple_filter", "domain_prune_mask", "tuple_filter_rows",
-           "domain_prune_rows"]
+           "domain_prune_pairs"]
 
 
 def tuple_filter(orig_code: int, cnt_vecs: list[np.ndarray],
@@ -91,26 +92,30 @@ def tuple_filter_rows(cnt_at_orig: np.ndarray,
     return np.divide(acc, n_used, out=np.zeros(len(acc)), where=n_used > 0)
 
 
-def domain_prune_rows(context: np.ndarray, has_blanket: np.ndarray,
-                      value_counts: np.ndarray, n_rows: int,
-                      top_k: int = 32) -> np.ndarray:
-    """``domain_prune_mask`` for many cells at once: a (rows, dom)
-    keep-mask.
-
-    ``context[r, c]`` counts the blanket evidence columns of row r whose
-    value co-occurs with candidate c; ``has_blanket[r]`` is False when
-    row r has no blanket evidence, and then every candidate survives.
-    Ties at the K-th score are kept, as in ``domain_prune_mask``.
+def domain_prune_pairs(row: np.ndarray, cand: np.ndarray,
+                       context: np.ndarray, value_counts: np.ndarray,
+                       n_rows: int, top_k: int = 32) -> np.ndarray:
+    """``domain_prune_mask`` for many cells at once, over the candidates
+    each cell's blanket evidence co-occurs with: a keep-mask over the
+    pairs (``row[i]``, ``cand[i]``), one per candidate of a cell, where
+    ``context[i]`` ≥ 1 counts the cell's blanket evidence columns whose
+    value co-occurs with the candidate. A candidate a cell does not list
+    has context 0 and is pruned, as in ``domain_prune_mask``; a cell
+    with no blanket evidence lists none, and its caller keeps its whole
+    domain. Ties at the K-th score are kept.
     """
-    dom = len(value_counts)
     with np.errstate(divide="ignore"):
-        idf = np.log(n_rows / (1.0 + value_counts))
-    score = context * np.maximum(idf, 1e-9)
-    keep = score > 0
-    over = np.flatnonzero(keep.sum(axis=1) > top_k)
+        idf = np.maximum(np.log(n_rows / (1.0 + value_counts)), 1e-9)
+    # every score a pair can have, ranked best first: scores compare as
+    # their ranks, so one integer sort orders each row by score
+    scores = np.arange(context.max(initial=0) + 1)[:, None] * idf
+    levels = np.unique(scores)
+    rank = (len(levels) - 1 - np.searchsorted(levels, scores))[context, cand]
+    size = np.bincount(row)
+    kth = np.full(len(size), len(levels))   # worst rank kept per row
+    over = np.flatnonzero(size > top_k)
     if len(over):
-        sub = score[over]
-        kth = np.partition(sub, dom - top_k, axis=1)[:, dom - top_k]
-        keep[over] &= sub >= kth[:, None]
-    keep[~has_blanket] = True
-    return keep
+        key = np.sort(row * len(levels) + rank)
+        first = np.cumsum(size) - size
+        kth[over] = key[first[over] + top_k - 1] - over * len(levels)
+    return rank <= kth[row]

@@ -40,23 +40,28 @@ __all__ = ["similarity_observations", "decompose_precision",
            "learn_skeleton", "edge_determinism"]
 
 
-def edge_determinism(corr_pdf: pd.DataFrame, x: str, y: str) -> tuple[float, float]:
-    """FD-ness of a candidate edge X → Y from pairwise co-occurrence
-    counts (the Algorithm-2 output): ``det`` is the fraction of rows on
+def edge_determinism(corr_pdf: pd.DataFrame, attrs: Sequence[str]
+                     ) -> dict[tuple[str, str], tuple[float, float]]:
+    """FD-ness of every candidate edge X → Y between two of ``attrs``,
+    from pairwise co-occurrence counts (the Algorithm-2 output), as
+    ``{(X, Y): (det, support)}``: ``det`` is the fraction of rows on
     which the majority Y-value per X-value would be correct (the
     confidence of the approximate FD X → Y), ``support`` the mean
-    majority count. The cleaner drops auto-learned edges that are not
-    FD-like — the paper's structure learning explicitly targets
-    (softened) FDs, so a high-entropy conditional is a lasso artifact,
-    not a dependency worth a CPT."""
-    sub = corr_pdf[(corr_pdf["attr_i"] == y) & (corr_pdf["attr_j"] == x)]
-    if not len(sub):
-        return 0.0, 0.0
-    per_x = sub.groupby("e")["cnt"]
-    maxes = per_x.max()
-    total = float(sub["cnt"].sum())
-    det = float(maxes.sum()) / total if total else 0.0
-    return det, float(maxes.mean())
+    majority count; both are 0 for a pair that never co-occurs. The
+    cleaner drops auto-learned edges that are not FD-like — the paper's
+    structure learning explicitly targets (softened) FDs, so a
+    high-entropy conditional is a lasso artifact, not a dependency
+    worth a CPT. One grouping by (Y, X, X-value) serves every pair."""
+    out = {(x, y): (0.0, 0.0) for x in attrs for y in attrs if x != y}
+    maxes = corr_pdf.groupby(["attr_i", "attr_j", "e"],
+                             sort=False)["cnt"].max()
+    per_pair = maxes.groupby(level=["attr_i", "attr_j"], sort=False).agg(
+        ["sum", "mean"])
+    total = corr_pdf.groupby(["attr_i", "attr_j"], sort=False)["cnt"].sum()
+    for (y, x), (top, mean) in per_pair.iterrows():
+        t = float(total[(y, x)])
+        out[(x, y)] = (float(top) / t if t else 0.0, float(mean))
+    return out
 
 
 def _pivot_pairs(sample: pd.DataFrame, attrs: Sequence[str], pivot: str,

@@ -2,16 +2,20 @@
 against the per-cell loop (micro cases and all six datasets), and the
 distributed run_inference path."""
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import inference
 from repro.core.cleaner import BClean
 from repro.core.constraints import UC
 from repro.core.inference import (InferenceParams, _Caches, _clean_loop,
-                                  _node_scalar, clean_batch, run_inference)
+                                  _corr_gather, _node_scalar, clean_batch,
+                                  run_inference)
 from repro.core.network import BayesianNetwork
+from repro.core.pruning import domain_prune_mask, tuple_filter
 from repro.datasets.registry import DATASETS
 
 
@@ -108,13 +112,17 @@ def test_variants_agree_on_micro(micro_fit):
 
 def _assert_batched_matches_loop(pdf, model, params):
     """The batched PI/PIP kernel repairs exactly what the per-cell loop
-    repairs, with and without UCs."""
-    for variant in ("PI", "PIP"):
+    repairs, with and without UCs; PIP also with a candidate budget of 1
+    and of 2, where ties at the K-th score and pruned originals are
+    common."""
+    runs = [("PI", params.top_k)] + [("PIP", k) for k in (params.top_k, 1, 2)]
+    for variant, top_k in runs:
         for use_ucs in (True, False):
-            p = dataclasses.replace(params, variant=variant, use_ucs=use_ucs)
+            p = dataclasses.replace(params, variant=variant, use_ucs=use_ucs,
+                                    top_k=top_k)
             pd.testing.assert_frame_equal(
                 clean_batch(pdf, model, p), _clean_loop(pdf, model, p),
-                obj=f"{variant} use_ucs={use_ucs}")
+                obj=f"{variant} top_k={top_k} use_ucs={use_ucs}")
 
 
 @pytest.mark.parametrize("name", DATASETS)
@@ -123,6 +131,27 @@ def test_batched_kernel_matches_loop(fitted, task, name):
     # at most 1000 rows, so the per-cell reference stays affordable
     pdf = task(name).dirty[["tid", *bc.model.attrs]].iloc[:1000]
     _assert_batched_matches_loop(pdf, bc.model, bc.params)
+
+
+def test_pip_scores_a_fifth_of_pi(fitted, task, monkeypatch):
+    """PIP scores only the candidates domain pruning keeps: on soccer it
+    hands the CS term (one element per scored (row, candidate) pair) at
+    most a fifth of what PI does."""
+    bc = fitted("soccer")
+    pdf = task("soccer").dirty[["tid", *bc.model.attrs]]
+    scored = {}
+    cs_term = inference._cs_term
+
+    def counted(w, cnt):
+        scored[variant] += w.size
+        return cs_term(w, cnt)
+
+    monkeypatch.setattr(inference, "_cs_term", counted)
+    for variant in ("PI", "PIP"):
+        scored[variant] = 0
+        clean_batch(pdf, bc.model, dataclasses.replace(bc.params,
+                                                       variant=variant))
+    assert 0 < 5 * scored["PIP"] <= scored["PI"], scored
 
 
 def _oov_values(pdf):
@@ -153,6 +182,59 @@ def test_batched_kernel_matches_loop_micro(micro_fit, edit, margin):
         pdf = edit(pdf)
     params = dataclasses.replace(bc.params, margin=margin)
     _assert_batched_matches_loop(pdf, bc.model, params)
+
+
+def _pip_cases(pdf, model, params):
+    """The domain-pruning cases the PIP cells of ``pdf`` that the tuple
+    filter keeps reach, worked out cell by cell with the per-cell
+    pruning functions."""
+    cases = set()
+    caches = _Caches()
+    for _, row in pdf.iterrows():
+        for j in model.attrs:
+            orig = model.code[j].get(row[j], -1)
+            cnt_vecs, evid, blanket_vecs = [], [], []
+            for k in model.attrs:
+                g = (None if k == j or row[k] == ""
+                     else _corr_gather(model, caches, j, k, row[k]))
+                if g is None:
+                    continue
+                cnt_vecs.append(g[1])
+                ecode = model.code[k].get(row[k], -1)
+                evid.append(model.counts[k][ecode] if ecode >= 0 else 0.0)
+                if k in model.parents[j] or k in model.children[j]:
+                    blanket_vecs.append(g[1])
+            f = tuple_filter(orig, cnt_vecs, evid)
+            if orig >= 0 and f >= params.tau_clean:
+                continue
+            if not blanket_vecs:
+                cases.add("no blanket evidence")
+                continue
+            keep = domain_prune_mask(blanket_vecs, model.counts[j],
+                                     model.n_rows, top_k=params.top_k)
+            if keep.sum() > params.top_k:
+                cases.add("tie at the K-th score")
+            if orig >= 0 and not keep[orig]:
+                cases.add("original pruned")
+            if orig >= 0 and not model.uc_ok[j][orig]:
+                cases.add("UC-violating original")
+            if not (keep & model.uc_ok[j]).any():
+                cases.add("every survivor UC-masked")
+    return cases
+
+
+def test_micro_cases_reach_every_pruning_case(micro_fit):
+    """The micro frames of ``test_batched_kernel_matches_loop_micro``
+    reach every case of PIP's kept-candidate path."""
+    pdf, bc = micro_fit
+    cases = set()
+    for edit in (lambda p: p, _oov_values, _missing_parent_and_child):
+        for top_k in (1, 2):
+            p = dataclasses.replace(bc.params, top_k=top_k)
+            cases |= _pip_cases(edit(pdf), bc.model, p)
+    assert cases == {"no blanket evidence", "tie at the K-th score",
+                     "original pruned", "UC-violating original",
+                     "every survivor UC-masked"}
 
 
 def _marginal_log(pdf, attr, value, alpha):
@@ -192,6 +274,15 @@ def test_run_inference_matches_clean_batch(spark, micro_fit):
         local.sort_values("tid", key=lambda s: s.astype(int))
              .reset_index(drop=True),
         dist)
+
+
+def test_clean_leaves_no_broadcast_file(spark, micro_fit):
+    _, bc = micro_fit
+    temp = Path(spark.sparkContext._temp_dir)
+    before = set(temp.iterdir())
+    bc.clean()
+    bc.clean()
+    assert set(temp.iterdir()) <= before
 
 
 def test_run_inference_non_integer_tids(spark):

@@ -176,8 +176,8 @@ def test_table_gathers_match_rows():
     assert codes.tolist() == [1, 3] and vals.tolist() == [5.0, 3.0]
     rows = table.find(np.array([9, 5, 7, -1]))
     assert rows.tolist() == [2, 1, -1, -1]
-    assert table.at(rows, np.array([2, 3, 0, 0])).tolist() == [5.0, 3.0,
-                                                                0.0, 0.0]
+    assert table.at(rows, np.array([2, 3, 0, 0])).tolist() == [[5.0, 3.0,
+                                                                 0.0, 0.0]]
     dense = table.dense(rows)
     assert dense.tolist() == [[0, 0, 5, 0], [0, 5, 0, 3], [0] * 4, [0] * 4]
     # a broadcast model is unpickled: same arrays, canonical dtypes (the
@@ -187,6 +187,23 @@ def test_table_gathers_match_rows():
     assert back.codes.dtype is np.dtype(np.int64)
     assert back.vals.tolist() == table.vals.tolist()
     assert back.keys.tolist() == table.keys.tolist()
+
+
+@pytest.mark.parametrize("n", [
+    100,    # few lookups: each is found among the entries
+    4000,   # many lookups: the whole table is made dense
+])
+def test_table_at_matches_dense(n):
+    rng = np.random.default_rng(n)
+    keys, codes = rng.integers(0, 50, 600), rng.integers(0, 40, 600)
+    table = SparseTable(keys, codes, [rng.random(600), np.ones(600)], dom=40)
+    rows = table.find(rng.integers(-5, 60, n))   # some -1 rows
+    assert (rows < 0).any()
+    cand = rng.integers(0, 40, n)
+    got = table.at(rows, cand)
+    for i in range(2):
+        assert got[i].tolist() == table.dense(rows, i)[np.arange(n),
+                                                       cand].tolist()
 
 
 def test_config_key_marks_missing_and_rejects_overflow():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pruning import (domain_prune_mask, domain_prune_rows,
+from repro.core.pruning import (domain_prune_mask, domain_prune_pairs,
                                 tuple_filter, tuple_filter_rows)
 
 
@@ -86,25 +86,33 @@ def test_tuple_filter_rows_matches_per_cell():
         assert got[r] == want, r
 
 
-def test_domain_prune_rows_matches_per_cell():
+def test_domain_prune_pairs_matches_per_cell():
     rng = np.random.default_rng(1)
     n, dom, top_k = 300, 40, 6
     value_counts = rng.integers(0, 4, dom).astype("float64")  # many ties
-    context = np.zeros((n, dom))
-    has_blanket = np.zeros(n, dtype=bool)
-    vecs = []
+    rows, cands, contexts, vecs = [], [], [], []
     for r in range(n):
         row = [rng.integers(0, 3, dom) * (rng.random(dom) < 0.4) * 1.0
                for _ in range(rng.integers(0, 4))]  # 0 = no blanket evidence
+        context = np.zeros(dom, dtype=int)
         for v in row:
-            context[r] += v > 0
-        has_blanket[r] = bool(row)
+            context += v > 0
+        listed = np.flatnonzero(context)
+        rows += [r] * len(listed)
+        cands += listed.tolist()
+        contexts += context[listed].tolist()
         vecs.append(row)
-    keep = domain_prune_rows(context, has_blanket, value_counts,
-                             n_rows=100, top_k=top_k)
-    assert (keep.sum(axis=1) > top_k).any()   # ties kept at the K-th score
-    assert not has_blanket.all()
+    order = rng.permutation(len(rows))   # any pair order
+    row, cand = np.array(rows)[order], np.array(cands)[order]
+    keep = domain_prune_pairs(row, cand, np.array(contexts)[order],
+                              value_counts, n_rows=100, top_k=top_k)
+    assert (np.bincount(row[keep]) > top_k).any()  # ties kept at the K-th
     for r in range(n):
         want = domain_prune_mask(vecs[r], value_counts, n_rows=100,
                                  top_k=top_k)
-        assert (keep[r] == want).all(), r
+        got = np.zeros(dom, dtype=bool)
+        got[cand[(row == r) & keep]] = True
+        if vecs[r]:
+            assert (got == want).all(), r
+        else:   # no blanket evidence: nothing listed, the whole domain kept
+            assert not got.any() and want.all()
