@@ -118,8 +118,9 @@ class SparseTable:
     def at(self, rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """(len(vals), len(rows)) matrix: every value at (row ``rows[i]``,
         ``codes[i]``) for every i; 0 where the row is -1 or has no such
-        code. When the whole table, made dense, is not much larger than
-        the lookups, they read it; else each is found among the entries."""
+        code. When the table made dense has at most 4× as many cells as
+        there are lookups, they read a dense copy (at most 4× the size of
+        the result); else each is binary-searched among the entries."""
         if self._flat is None:   # every entry as row * dom + code, ascending
             self._flat = np.append(
                 np.repeat(np.arange(len(self.keys)), np.diff(self.start))
