@@ -7,7 +7,8 @@ results are driven by *which rules* survive, not by how they were
 generated), so the lite version mines the same family of rules
 directly: high-confidence approximate FDs ``X → Y`` discovered from the
 dirty data with no prior knowledge or labels, applied where a tuple
-disagrees with the rule's majority consequent.
+disagrees with the rule's majority consequent (both from
+``cpt.majority`` over the Algorithm-2 co-occurrence counts).
 
 Characteristic shape (paper Table 4): very high precision — a repair
 fires only under a ≥95%-confidence rule — but low recall, since errors
@@ -19,7 +20,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.compensatory import corr_counts
-from repro.core.cpt import cpt_counts
+from repro.core.cpt import majority
 from repro.core.model import normalize_missing
 from repro.core.structure import edge_determinism
 from repro.datasets.registry import CleaningTask
@@ -36,27 +37,19 @@ class GarfLite:
         attrs = task.attrs
         sdf = spark.createDataFrame(dirty).cache()
         corr_pdf = corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0)
-
-        # Rule discovery: single-determinant approximate FDs.
-        fds: list[tuple[str, str]] = []
-        rules: list[tuple[str, str, dict[str, tuple[str, float, float]]]] = []
-        determinism = edge_determinism(corr_pdf, attrs)
-        for x in attrs:
-            for y in attrs:
-                if x == y:
-                    continue
-                det, support = determinism[(x, y)]
-                if det < _MIN_CONF or support < _MIN_SUPPORT:
-                    continue
-                fds.append((x, y))
-        for (x, y), pdf in zip(fds, cpt_counts(sdf, fds)):
-            groups = {}
-            for xv, grp in pdf.groupby(x):
-                total = float(grp["cnt"].sum())
-                top = grp.loc[grp["cnt"].idxmax()]
-                groups[str(xv)] = (str(top[y]), float(top["cnt"]), total)
-            rules.append((x, y, groups))
         sdf.unpersist()
+
+        # Rule discovery: single-determinant approximate FDs, each with
+        # {X-value: (majority Y-value, its count, X-value count)}.
+        major = majority(corr_pdf, ["attr_i", "attr_j", "e"], "c")
+        determinism = edge_determinism(major, attrs)
+        by_pair = dict(iter(major.groupby(["attr_i", "attr_j"], sort=False)))
+        rules: list[tuple[str, str, dict[str, tuple[str, int, int]]]] = []
+        for (x, y), (det, support) in determinism.items():
+            if det >= _MIN_CONF and support >= _MIN_SUPPORT:
+                g = by_pair[(y, x)]
+                rules.append((x, y, dict(zip(
+                    g["e"], zip(g["c"], g["cnt"], g["total"])))))
 
         cols = {a: dirty[a].to_numpy(object) for a in attrs}
         out_cols = {a: cols[a].copy() for a in attrs}

@@ -9,7 +9,8 @@ flag. The lite version keeps the same pipeline shape:
   from schema knowledge, like their experts did).
 * detection — a cell is noisy if it is NULL or if it is the dependent
   side of a violated DC (its value disagrees with the majority
-  consequent of its determinant group).
+  consequent of its determinant group: ``cpt.majority`` over one
+  ``cpt.cpt_counts`` job, as a DC may have several determinants).
 * repair — for detected cells only, candidates are scored by a fixed
   log-linear combination of (a) DC-majority agreement, (b) co-occurrence
   with the rest of the tuple, and (c) minimality (edit proximity to the
@@ -25,7 +26,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.compensatory import build_corr_index, corr_counts
-from repro.core.cpt import cpt_counts
+from repro.core.cpt import cpt_counts, majority
 from repro.core.model import build_vocab, normalize_missing
 from repro.core.similarity import string_similarity
 from repro.datasets.registry import CleaningTask
@@ -81,19 +82,14 @@ class HoloCleanLite:
         vocab, code = build_vocab(dirty, attrs)
         n = len(dirty)
 
-        # Majority consequent per determinant group, per DC (Spark).
-        majority: dict[int, dict[tuple, tuple[str, float, float]]] = {}
+        # Majority consequent per determinant group, per DC (Spark):
+        # {determinant values: (majority, its count, group count)}.
+        dc_major: list[dict[tuple, tuple[str, int, int]]] = []
         pdfs = cpt_counts(sdf, [[*lhs, rhs] for lhs, rhs in dcs])
-        for d, ((lhs, rhs), pdf) in enumerate(zip(dcs, pdfs)):
-            groups: dict[tuple, tuple[str, float, float]] = {}
-            if len(pdf):
-                for cfg, grp in pdf.groupby(list(lhs)):
-                    cfg = cfg if isinstance(cfg, tuple) else (cfg,)
-                    total = float(grp["cnt"].sum())
-                    top = grp.loc[grp["cnt"].idxmax()]
-                    groups[tuple(map(str, cfg))] = (
-                        str(top[rhs]), float(top["cnt"]), total)
-            majority[d] = groups
+        for (lhs, rhs), pdf in zip(dcs, pdfs):
+            top = majority(pdf, lhs, rhs)
+            dc_major.append(dict(zip(zip(*(top[x] for x in lhs)),
+                                     zip(top[rhs], top["cnt"], top["total"]))))
 
         # Co-occurrence index (plain counts — no UCs in HoloClean).
         corr = build_corr_index(
@@ -112,13 +108,13 @@ class HoloCleanLite:
                 obs = row[a]
                 # ---- detection -----------------------------------------
                 flagged = obs == ""
-                dc_votes: list[tuple[str, float, float]] = []
+                dc_votes: list[tuple[str, int, int]] = []
                 for d in dc_by_rhs.get(a, []):
                     lhs, _ = dcs[d]
                     cfg = tuple(row[x] for x in lhs)
                     if any(v == "" for v in cfg):
                         continue
-                    hit = majority[d].get(cfg)
+                    hit = dc_major[d].get(cfg)
                     if hit is None:
                         continue
                     maj, cnt, total = hit
@@ -137,16 +133,7 @@ class HoloCleanLite:
                     mc = code[a].get(maj)
                     if mc is not None:
                         score[mc] += _W_DC * cnt / total
-                cooc = np.zeros(dom)
-                for k in attrs:
-                    if k == a or row[k] == "":
-                        continue
-                    entry = corr.lookup(a, k, row[k])
-                    if entry is None:
-                        continue
-                    ccodes, _, cnts = entry
-                    np.add.at(cooc, ccodes, cnts)
-                score += _W_COOC * np.log1p(cooc)
+                score += _W_COOC * np.log1p(corr.cooccurrence(a, row, attrs))
                 best = int(np.argmax(score))
                 cand = vocab[a][best]
                 if obs != "":

@@ -15,6 +15,9 @@ Detectors (per cell):
   D4 FD violation  — the value disagrees with the majority consequent of
                      a mined approximate FD.
 
+D4's FDs and majorities come from ``cpt.majority`` over the Algorithm-2
+co-occurrence counts, as in the cleaner's edge filter.
+
 The gate fits per-(column, detector) reliability on 20 labeled tuples
 (labels drawn from ground truth, exactly what the paper's annotators
 provide) and flags a cell when the summed reliability of its firing
@@ -33,7 +36,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.compensatory import build_corr_index, corr_counts
-from repro.core.cpt import cpt_counts, value_counts
+from repro.core.cpt import majority, value_counts
 from repro.core.model import build_vocab, normalize_missing
 from repro.core.similarity import edit_distance
 from repro.core.structure import edge_determinism
@@ -68,26 +71,19 @@ class RahaBaranLite:
                   for a, sub in vc.groupby("attr")}
         corr_pdf = corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0)
         corr = build_corr_index(corr_pdf, code)
-        # Mine approximate FDs from the dirty data (for D4 + corrector).
-        fds: dict[str, list[str]] = {a: [] for a in attrs}
-        determinism = edge_determinism(corr_pdf, attrs)
-        for x in attrs:
-            for y in attrs:
-                if x == y:
-                    continue
-                det, support = determinism[(x, y)]
-                if det >= 0.8 and support >= 3:
-                    fds[y].append(x)
-        fd_major: dict[tuple[str, str], dict[str, tuple[str, float]]] = {}
-        fd_pairs = [(x, y) for y, xs in fds.items() for x in xs]
-        for (x, y), pdf in zip(fd_pairs, cpt_counts(sdf, fd_pairs)):
-            groups = {}
-            for xv, grp in pdf.groupby(x):
-                top = grp.loc[grp["cnt"].idxmax()]
-                groups[str(xv)] = (str(top[y]),
-                                   float(top["cnt"]) / float(grp["cnt"].sum()))
-            fd_major[(y, x)] = groups
         sdf.unpersist()
+        # Mine approximate FDs from the dirty data (for D4 + corrector).
+        major = majority(corr_pdf, ["attr_i", "attr_j", "e"], "c")
+        determinism = edge_determinism(major, attrs)
+        fds: dict[str, list[str]] = {a: [] for a in attrs}
+        for (x, y), (det, support) in determinism.items():
+            if det >= 0.8 and support >= 3:
+                fds[y].append(x)
+        # (Y, X) -> {X-value: (majority Y-value, its share)}
+        fd_major = {
+            (y, x): dict(zip(g["e"], zip(g["c"], g["cnt"] / g["total"])))
+            for (y, x), g in major.groupby(["attr_i", "attr_j"], sort=False)
+            if x in fds[y]}
 
         cols = {a: dirty[a].to_numpy(object) for a in attrs}
         clean_cols = {a: clean[a].to_numpy(object) for a in attrs}
@@ -137,7 +133,7 @@ class RahaBaranLite:
                 conf = float((weights[a] * f).sum() / max(1, f.sum()))
                 if conf < 0.5:
                     continue  # gate: detectors not trusted for this column
-                cand = self._correct(a, i, row, attrs, vocab, code, corr,
+                cand = self._correct(a, i, row, attrs, vocab, corr,
                                      fds, fd_major, freq_vals)
                 if cand is not None and cand != row[a]:
                     out_cols[a][i] = cand
@@ -146,7 +142,7 @@ class RahaBaranLite:
         return out
 
     @staticmethod
-    def _correct(a, i, row, attrs, vocab, code, corr, fds, fd_major,
+    def _correct(a, i, row, attrs, vocab, corr, fds, fd_major,
                  freq_vals):
         votes: dict[str, float] = {}
         # corrector 1: FD majority
@@ -155,17 +151,8 @@ class RahaBaranLite:
             if hit and hit[1] >= 0.6:
                 votes[hit[0]] = votes.get(hit[0], 0.0) + 3.0 * hit[1]
         # corrector 2: co-occurrence with the rest of the tuple
-        dom = len(vocab[a])
-        if dom:
-            cooc = np.zeros(dom)
-            for k in attrs:
-                if k == a or row[k] == "":
-                    continue
-                entry = corr.lookup(a, k, row[k])
-                if entry is None:
-                    continue
-                ccodes, _, cnts = entry
-                np.add.at(cooc, ccodes, cnts)
+        if len(vocab[a]):
+            cooc = corr.cooccurrence(a, row, attrs)
             best = int(np.argmax(cooc))
             if cooc[best] > 0:
                 votes[vocab[a][best]] = (votes.get(vocab[a][best], 0.0)

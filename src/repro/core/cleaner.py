@@ -22,13 +22,15 @@ Inference stage: Algorithm 1 distributed with ``mapInPandas``
 """
 from __future__ import annotations
 
+from copy import deepcopy
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession, functions as F
 
 from .compensatory import build_corr_index, corr_counts
 from .constraints import UC
-from .cpt import cpt_counts, value_counts
+from .cpt import cpt_counts, majority, value_counts
 from .inference import InferenceParams, run_inference
 from .model import (FittedModel, SparseTable, build_child_views,
                     build_counts, build_cpt_table, build_vocab,
@@ -38,6 +40,9 @@ from .structure import (edge_determinism, learn_skeleton,
                         similarity_observations)
 
 __all__ = ["BClean"]
+
+# an auto-learned edge is kept if FD-like: det and support at least
+_DET_THRESHOLD, _MIN_SUPPORT = 0.5, 2.0
 
 
 class BClean:
@@ -51,28 +56,16 @@ class BClean:
         lam: float = 1.0,
         beta: float = 2.0,
         tau: float = 0.5,
-        alpha: float = 0.1,
-        rho: float = 0.05,
-        weight_threshold: float = 0.12,
-        max_parents: int = 3,
         tau_clean: float = 0.35,
         top_k: int = 32,
         margin: float = 3.0,
         struct_sample: int = 4000,
-        det_threshold: float = 0.5,
-        min_support: float = 2.0,
     ):
         self.params = InferenceParams(
             variant=variant, use_ucs=use_ucs, tau_clean=tau_clean,
             top_k=top_k, margin=margin)
         self.lam, self.beta, self.tau = lam, beta, tau
-        self.alpha = alpha
-        self.rho = rho
-        self.weight_threshold = weight_threshold
-        self.max_parents = max_parents
         self.struct_sample = struct_sample
-        self.det_threshold = det_threshold
-        self.min_support = min_support
         self.model: FittedModel | None = None
         self.network: BayesianNetwork | None = None
         self._spark: SparkSession | None = None
@@ -113,11 +106,12 @@ class BClean:
                 self.struct_sample)
             obs = similarity_observations(
                 sample, attrs, numeric_attrs).toPandas().to_numpy()
-            parents, _, _ = learn_skeleton(
-                obs, attrs, rho=self.rho,
-                weight_threshold=self.weight_threshold,
-                max_parents=self.max_parents)
+            parents, _, _ = learn_skeleton(obs, attrs)
             network = BayesianNetwork.from_parents(parents)
+        else:
+            # the edge filter and the edits below must not edit the
+            # caller's network
+            network = deepcopy(network)
         self.network = network
 
         # --- compensatory statistics (Alg. 2) — also reused to filter
@@ -125,11 +119,12 @@ class BClean:
         corr_pdf = corr_counts(
             sdf, attrs, ucs, lam=self.lam, beta=self.beta, tau=self.tau)
 
-        determinism = edge_determinism(corr_pdf, attrs)
+        determinism = edge_determinism(
+            majority(corr_pdf, ["attr_i", "attr_j", "e"], "c"), attrs)
 
         def fd_like(u: str, v: str) -> bool:
             det, support = determinism[(u, v)]
-            return det >= self.det_threshold and support >= self.min_support
+            return det >= _DET_THRESHOLD and support >= _MIN_SUPPORT
 
         dropped = [e for e in network.edges() if not fd_like(*e)]
         for (u, v) in dropped:
@@ -171,7 +166,6 @@ class BClean:
             attrs=attrs, vocab=vocab, code=code,
             cpt={}, childview={}, childtot={},
             corr=corr, counts=counts, uc_ok=uc_ok, n_rows=len(dirty),
-            alpha=self.alpha,
             parents={a: network.parents(a) for a in attrs},
             children={a: network.children(a) for a in attrs},
         )

@@ -24,7 +24,7 @@ the (candidate code, weight, raw count) entries.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
@@ -122,6 +122,21 @@ class CorrIndex:
         table = self.tables.get((attr_i, attr_j))
         ecode = None if table is None else self.code[attr_j].get(e)
         return None if ecode is None else table.row(ecode)
+
+    def cooccurrence(self, attr_i: str, row: Mapping[str, str],
+                     attrs: Sequence[str]) -> np.ndarray:
+        """Raw co-occurrence count of every candidate code of ``attr_i``
+        with the tuple ``row`` (attribute → value): the sum, over the
+        other attributes of ``attrs`` in order, of the counts next to
+        each non-missing ``row[k]``."""
+        out = np.zeros(len(self.code[attr_i]))
+        for k in attrs:
+            if k == attr_i or row[k] == "":
+                continue
+            entry = self.lookup(attr_i, k, row[k])
+            if entry is not None:
+                np.add.at(out, entry[0], entry[2])
+        return out
 
 
 def build_corr_index(

@@ -15,8 +15,11 @@ by ``grouping_id()``. A group with a missing key is dropped after the
 aggregation, which equals filtering the rows before it because the
 filter reads only the family's own columns. It runs once over every
 ``[*parents, node]`` family, ``value_counts`` (the model's only
-marginal) runs it over the singleton families, and
-``compensatory.corr_counts`` over the attribute pairs.
+marginal) runs it over the singleton families,
+``compensatory.corr_counts`` over the attribute pairs, and the
+HoloClean baseline over its DCs. ``majority`` reads a count frame as
+the majority consequent of X → Y per X-value, the FD statistic behind
+the edge filter and the rule-based baselines.
 
 The outputs are model-sized *pandas* DataFrames, oracle-checked against
 DuckDB SQL in ``tests/test_cpt.py``.
@@ -28,7 +31,7 @@ from typing import Sequence
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
-__all__ = ["cpt_counts", "value_counts"]
+__all__ = ["cpt_counts", "value_counts", "majority"]
 
 
 def cpt_counts(df: DataFrame, families: Sequence[Sequence[str]],
@@ -70,3 +73,19 @@ def value_counts(df: DataFrame, attrs: Sequence[str]) -> pd.DataFrame:
     return pd.concat(
         [pd.DataFrame({"attr": a, "value": p[a], "cnt": p["cnt"]})
          for a, p in zip(attrs, parts)], ignore_index=True)
+
+
+def majority(counts: pd.DataFrame, keys: Sequence[str],
+             value: str) -> pd.DataFrame:
+    """The majority ``value`` per ``keys`` configuration of a count frame
+    ``[*keys, value, cnt]``, as ``[*keys, value, cnt, total]``: one row
+    per configuration with its most frequent ``value``, that value's
+    ``cnt`` and the configuration's ``total`` count, in order of first
+    appearance. A tie at the maximum goes to the tied row that comes
+    first in ``counts``."""
+    keys = list(keys)
+    groups = counts.groupby(keys, sort=False)["cnt"]
+    top = counts.assign(total=groups.transform("sum"))[
+        counts["cnt"] == groups.transform("max")]
+    return top.drop_duplicates(keys)[[*keys, value, "cnt", "total"]
+                                     ].reset_index(drop=True)

@@ -40,27 +40,24 @@ __all__ = ["similarity_observations", "decompose_precision",
            "learn_skeleton", "edge_determinism"]
 
 
-def edge_determinism(corr_pdf: pd.DataFrame, attrs: Sequence[str]
+def edge_determinism(major: pd.DataFrame, attrs: Sequence[str]
                      ) -> dict[tuple[str, str], tuple[float, float]]:
     """FD-ness of every candidate edge X → Y between two of ``attrs``,
-    from pairwise co-occurrence counts (the Algorithm-2 output), as
-    ``{(X, Y): (det, support)}``: ``det`` is the fraction of rows on
-    which the majority Y-value per X-value would be correct (the
-    confidence of the approximate FD X → Y), ``support`` the mean
-    majority count; both are 0 for a pair that never co-occurs. The
-    cleaner drops auto-learned edges that are not FD-like — the paper's
-    structure learning explicitly targets (softened) FDs, so a
-    high-entropy conditional is a lasso artifact, not a dependency
-    worth a CPT. One grouping by (Y, X, X-value) serves every pair."""
+    as ``{(X, Y): (det, support)}``, from the majority Y-value per
+    X-value of the Algorithm-2 co-occurrence counts,
+    ``cpt.majority(corr_pdf, ["attr_i", "attr_j", "e"], "c")``:
+    ``det`` is the fraction of rows on which the majority would be
+    correct (Σ cnt / Σ total, the confidence of the approximate FD
+    X → Y), ``support`` the mean majority count; both are 0 for a pair
+    that never co-occurs. The cleaner drops auto-learned edges that are
+    not FD-like — the paper's structure learning explicitly targets
+    (softened) FDs, so a high-entropy conditional is a lasso artifact,
+    not a dependency worth a CPT."""
     out = {(x, y): (0.0, 0.0) for x in attrs for y in attrs if x != y}
-    maxes = corr_pdf.groupby(["attr_i", "attr_j", "e"],
-                             sort=False)["cnt"].max()
-    per_pair = maxes.groupby(level=["attr_i", "attr_j"], sort=False).agg(
-        ["sum", "mean"])
-    total = corr_pdf.groupby(["attr_i", "attr_j"], sort=False)["cnt"].sum()
-    for (y, x), (top, mean) in per_pair.iterrows():
-        t = float(total[(y, x)])
-        out[(x, y)] = (float(top) / t if t else 0.0, float(mean))
+    per_pair = major.groupby(["attr_i", "attr_j"], sort=False).agg(
+        top=("cnt", "sum"), total=("total", "sum"), support=("cnt", "mean"))
+    for (y, x), top, total, support in per_pair.itertuples():
+        out[(x, y)] = (float(top / total), float(support))
     return out
 
 

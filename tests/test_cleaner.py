@@ -144,6 +144,16 @@ def test_edge_filter_drops_edge_whose_reversal_would_cycle(spark):
     assert bc.model is not None
 
 
+def test_fit_leaves_callers_network_unchanged(spark):
+    """fit works on its own copy of a passed network: the edge filter
+    drops u -> v there, and the caller's network keeps it."""
+    net = BayesianNetwork.from_parents({"v": ["u", "w"], "w": ["u"], "u": []})
+    before = net.edges()
+    bc = BClean("PI").fit(spark, _fd_cycle_frame(), network=net)
+    assert ("u", "v") not in bc.network.edges()
+    assert net.edges() == before
+
+
 def test_edge_filter_ignores_edge_order(spark):
     """The filtered network depends on the learned edge set, not on the
     order its edges are listed in. u -> w is kept; v -> w and u -> v are

@@ -133,3 +133,21 @@ def test_build_corr_index_empty():
         pd.DataFrame(columns=["attr_i", "attr_j", "c", "e", "w", "cnt"]),
         {})
     assert idx.lookup("a", "b", "x") is None
+
+
+def test_cooccurrence_sums_lookups_over_the_tuple(spark, frame):
+    """``CorrIndex.cooccurrence`` adds, per candidate, the raw counts of
+    every other non-missing value of the tuple, and skips the
+    attribute itself, missing values and unseen evidence."""
+    out = corr_counts(spark.createDataFrame(frame), ["a", "b", "c"], {})
+    code = {"a": {"bad!": 0, "x": 1}, "b": {"p": 0, "q": 1},
+            "c": {"1": 0, "2": 1}}
+    idx = build_corr_index(out, code)
+    cases = [
+        ({"a": "x", "b": "p", "c": "1"}, [1.0, 4.0]),   # p: [1, 2], 1: [0, 2]
+        ({"a": "", "b": "p", "c": "2"}, [1.0, 3.0]),    # p: [1, 2], 2: [0, 1]
+        ({"a": "x", "b": "", "c": "1"}, [0.0, 2.0]),    # missing b skipped
+        ({"a": "x", "b": "q", "c": "9"}, [0.0, 1.0]),   # unseen c skipped
+    ]
+    for row, want in cases:
+        assert idx.cooccurrence("a", row, ["a", "b", "c"]).tolist() == want

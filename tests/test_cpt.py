@@ -8,7 +8,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.cpt import cpt_counts, value_counts
+from repro.core.compensatory import corr_counts
+from repro.core.cpt import cpt_counts, majority, value_counts
+from repro.core.model import normalize_missing
 from repro.oracle import assert_equivalent
 
 
@@ -137,3 +139,53 @@ def test_cpt_counts_weighted_pair_oracle(spark, mixed):
         assert list(out.columns) == [*fam, "cnt", "w"]
         assert_equivalent(spark.createDataFrame(out),
                           _family_sql(fam, weight=True), t=mixed)
+
+
+# ---------------------------------------------------------------------------
+# majority: the FD-majority statistic read off a count frame
+# ---------------------------------------------------------------------------
+
+def test_majority_ties_and_singletons():
+    """A tie at the maximum goes to the tied row that comes first; a
+    group of one is its own majority; groups keep first-appearance
+    order."""
+    counts = pd.DataFrame({
+        "x": ["k2", "k1", "k1", "k1", "k2", "k3"],
+        "y": ["b", "p", "q", "r", "a", "z"],
+        "cnt": [4, 2, 5, 5, 4, 1],
+    })
+    out = majority(counts, ["x"], "y")
+    assert out.to_dict("list") == {
+        "x": ["k2", "k1", "k3"], "y": ["b", "q", "z"],
+        "cnt": [4, 5, 1], "total": [8, 12, 1]}
+
+
+def test_majority_empty_frame():
+    out = majority(pd.DataFrame(columns=["x", "y", "cnt"]), ["x"], "y")
+    assert list(out.columns) == ["x", "y", "cnt", "total"]
+    assert out.empty
+
+
+@pytest.mark.parametrize("name", ["hospital", "flights"])
+def test_majority_of_corr_counts_matches_cpt_counts(spark, task, name):
+    """The majority Y-value per X-value read off the Algorithm-2 pair
+    counts equals the one read off a dedicated ``cpt_counts`` of
+    ``[X, Y]``, for every ordered pair: the same counts and totals on
+    every group, and the same value wherever it is a strict majority
+    (below that, a tie may break either way)."""
+    t = task(name)
+    sdf = spark.createDataFrame(normalize_missing(t.dirty))
+    attrs = t.attrs
+    major = majority(corr_counts(sdf, attrs, {}),
+                     ["attr_i", "attr_j", "e"], "c")
+    by_pair = dict(iter(major.groupby(["attr_i", "attr_j"])))
+    pairs = [(x, y) for x in attrs for y in attrs if x != y]
+    for (x, y), pdf in zip(pairs, cpt_counts(sdf, pairs)):
+        ref = majority(pdf, [x], y).set_index(x).sort_index()
+        assert len(ref), (x, y)
+        got = by_pair[(y, x)].set_index("e").sort_index()
+        assert got.index.tolist() == ref.index.tolist(), (x, y)
+        assert got["cnt"].tolist() == ref["cnt"].tolist(), (x, y)
+        assert got["total"].tolist() == ref["total"].tolist(), (x, y)
+        strict = ref["cnt"] * 2 > ref["total"]
+        assert got["c"][strict].tolist() == ref[y][strict].tolist(), (x, y)

@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.cpt import majority
 from repro.core.similarity import string_similarity
 from repro.core.structure import (decompose_precision, edge_determinism,
                                   learn_skeleton, similarity_observations)
@@ -146,12 +147,16 @@ def _pair_counts(rows):
                                        "cnt"])
 
 
+def _major(pdf):
+    return majority(pdf, ["attr_i", "attr_j", "e"], "c")
+
+
 def test_edge_determinism_perfect_fd():
     pdf = _pair_counts([
         ("y", "x", "v1", "k1", 10.0, 10),
         ("y", "x", "v2", "k2", 20.0, 20),
     ])
-    det, support = edge_determinism(pdf, ["x", "y"])[("x", "y")]
+    det, support = edge_determinism(_major(pdf), ["x", "y"])[("x", "y")]
     assert det == pytest.approx(1.0)
     assert support == pytest.approx(15.0)
 
@@ -161,17 +166,19 @@ def test_edge_determinism_noisy_fd():
         ("y", "x", "v1", "k1", 9.0, 9),
         ("y", "x", "bad", "k1", 1.0, 1),
     ])
-    det, _ = edge_determinism(pdf, ["x", "y"])[("x", "y")]
+    det, _ = edge_determinism(_major(pdf), ["x", "y"])[("x", "y")]
     assert det == pytest.approx(0.9)
 
 
 def test_edge_determinism_non_fd():
     rows = [("y", "x", f"v{i}", "k1", 1.0, 1) for i in range(10)]
-    det, support = edge_determinism(_pair_counts(rows), ["x", "y"])[("x", "y")]
+    det, support = edge_determinism(_major(_pair_counts(rows)),
+                                    ["x", "y"])[("x", "y")]
     assert det == pytest.approx(0.1)
     assert support == pytest.approx(1.0)
 
 
 def test_edge_determinism_missing_pair():
-    det, support = edge_determinism(_pair_counts([]), ["x", "y"])[("x", "y")]
+    det, support = edge_determinism(_major(_pair_counts([])),
+                                    ["x", "y"])[("x", "y")]
     assert det == 0.0 and support == 0.0
