@@ -27,7 +27,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.cpt import cpt_counts, value_counts
 from repro.core.model import (build_counts, build_cpt_table, build_vocab,
-                              config_code, normalize_missing)
+                              config_keys, normalize_missing, value_codes)
 from repro.core.similarity import edit_distance
 from repro.datasets.registry import CleaningTask
 
@@ -89,12 +89,16 @@ class PCleanLite:
         sdf = spark.createDataFrame(dirty).cache()
         vocab, code = build_vocab(dirty, attrs)
         counts = build_counts(value_counts(sdf, attrs), code)
-        prior = {a: (np.arange(len(vocab[a])), counts[a]) for a in attrs}
         pars = {a: program[a] for a in attrs if program.get(a)}
         pdfs = cpt_counts(sdf, [[*ps, a] for a, ps in pars.items()])
         cpt = {a: build_cpt_table(pdf, a, pars[a], code)
                for a, pdf in zip(pars, pdfs)}
         cols = {a: dirty[a].to_numpy(object) for a in attrs}
+        coded = pd.DataFrame({a: value_codes(dirty[a], code[a])
+                              for a in attrs})
+        # each tuple's CPT row per attribute with parents; -1 for none
+        rows = {a: cpt[a].find(config_keys(coded, ps, code))
+                for a, ps in pars.items()}
         out_cols = {a: cols[a].copy() for a in attrs}
         log_vec_cache: dict = {}
         for i in range(len(dirty)):
@@ -103,22 +107,13 @@ class PCleanLite:
                 if dom == 0:
                     continue
                 obs = cols[a][i]
-                pars = program.get(a, [])
-                cfg = tuple(cols[p][i] for p in pars)
-                entry = None
-                if pars:
-                    entry = cpt[a].row(config_code(code, pars, cfg))
-                if entry is None:
-                    entry = prior[a]
-                key = (a, cfg if entry is not prior[a] else None)
-                vec = log_vec_cache.get(key)
-                if vec is None:
-                    codes, counts = entry
-                    numer = np.full(dom, _ALPHA)
-                    if len(codes):
-                        np.add.at(numer, codes, counts)
-                    vec = np.log(numer) - np.log(counts.sum() + _ALPHA * dom)
-                    log_vec_cache[key] = vec
+                r = rows[a][i] if a in rows else -1
+                vec = log_vec_cache.get((a, r))
+                if vec is None:   # the prior: the CPT row, else the marginal
+                    cnt = counts[a] if r < 0 else cpt[a].dense([r])[0]
+                    vec = (np.log(cnt + _ALPHA)
+                           - np.log(cnt.sum() + _ALPHA * dom))
+                    log_vec_cache[(a, r)] = vec
                 # top candidates by prior mass + the observed value
                 if dom > _MAX_CAND:
                     cand = np.argpartition(vec, dom - _MAX_CAND)[-_MAX_CAND:]
@@ -130,10 +125,9 @@ class PCleanLite:
                     s = vec[ci] + self._noise_ll(obs, v)
                     if s > best_s:
                         best_c, best_s = v, s
-                if obs != "":
-                    oc = code[a].get(obs)
-                    if oc is not None and vec[oc] >= best_s:
-                        best_c = obs
+                oc = coded[a].iat[i]
+                if oc >= 0 and vec[oc] >= best_s:
+                    best_c = obs
                 if best_c != obs:
                     out_cols[a][i] = best_c
         sdf.unpersist()

@@ -31,7 +31,7 @@ from pyspark.sql import SparkSession, functions as F
 from .compensatory import build_corr_index, corr_counts
 from .constraints import UC
 from .cpt import cpt_counts, majority, value_counts
-from .inference import InferenceParams, run_inference
+from .inference import InferenceParams, apply_repairs, run_inference
 from .model import (FittedModel, SparseTable, build_child_views,
                     build_counts, build_cpt_table, build_vocab,
                     normalize_missing)
@@ -69,6 +69,7 @@ class BClean:
         self.model: FittedModel | None = None
         self.network: BayesianNetwork | None = None
         self._spark: SparkSession | None = None
+        self._dirty: pd.DataFrame | None = None
         self._dirty_sdf = None
 
     # ------------------------------------------------------------------
@@ -94,6 +95,11 @@ class BClean:
         if not self.params.use_ucs:
             ucs = {}
         attrs = [c for c in dirty.columns if c != "tid"]
+        # clean()'s row order: by tid, as integers if every tid is one
+        numeric = dirty["tid"].str.fullmatch(r"[+-]?\d+").all()
+        self._dirty = dirty[["tid", *attrs]].sort_values(
+            "tid", key=(lambda s: s.astype(int)) if numeric else None,
+            kind="stable", ignore_index=True)
         self._spark = spark
         sdf = spark.createDataFrame(dirty).cache()
         self._dirty_sdf = sdf
@@ -204,8 +210,10 @@ class BClean:
         return affected
 
     def clean(self) -> pd.DataFrame:
-        """Run Algorithm 1 and return the repaired dataset (pandas)."""
+        """Run Algorithm 1 and return the repaired dataset (pandas): the
+        dirty frame, tid first, in tid order, with the repairs decoded."""
         if self.model is None:
             raise RuntimeError("fit() first")
-        return run_inference(
+        changes = run_inference(
             self._spark, self._dirty_sdf, self.model, self.params)
+        return apply_repairs(self._dirty, changes, self.model.vocab)

@@ -110,30 +110,29 @@ class CorrIndex:
     pair, keyed by the code of an evidence value e of ``attr_j``, with
     entries (code of a candidate c of ``attr_i`` co-occurring with e,
     summed confidence weight, raw count). ``lookup(attr_i, attr_j, e)``
-    returns the row of string evidence ``e`` as ``(codes, w, cnt)``, or
-    None if ``e`` was never observed next to ``attr_i``.
+    returns the row of evidence code ``e`` as ``(codes, w, cnt)``, or
+    None if ``e`` (a negative code too) was never seen next to ``attr_i``.
     """
 
     def __init__(self, tables: dict, code: dict[str, dict[str, int]]):
         self.tables = tables
         self.code = code
 
-    def lookup(self, attr_i: str, attr_j: str, e: str):
+    def lookup(self, attr_i: str, attr_j: str, e: int):
         table = self.tables.get((attr_i, attr_j))
-        ecode = None if table is None else self.code[attr_j].get(e)
-        return None if ecode is None else table.row(ecode)
+        return None if table is None else table.row(e)
 
     def cooccurrence(self, attr_i: str, row: Mapping[str, str],
                      attrs: Sequence[str]) -> np.ndarray:
         """Raw co-occurrence count of every candidate code of ``attr_i``
-        with the tuple ``row`` (attribute → value): the sum, over the
-        other attributes of ``attrs`` in order, of the counts next to
-        each non-missing ``row[k]``."""
+        with the tuple ``row`` (attribute → string value): the sum, over
+        the other attributes of ``attrs`` in order, of the counts next
+        to each non-missing ``row[k]``."""
         out = np.zeros(len(self.code[attr_i]))
         for k in attrs:
-            if k == attr_i or row[k] == "":
+            if k == attr_i:
                 continue
-            entry = self.lookup(attr_i, k, row[k])
+            entry = self.lookup(attr_i, k, self.code[k].get(row[k], -1))
             if entry is not None:
                 np.add.at(out, entry[0], entry[2])
         return out

@@ -43,26 +43,25 @@ Numerical choices beyond the paper's pseudocode (DESIGN.md §1):
   over the raw weight sum w, which preserves the ordering semantics
   without an unbounded cliff at 0.
 
-The kernel is a pure pandas→pandas function (``clean_batch``), run
-distributed via ``mapInPandas`` with the fitted model in a Spark
-broadcast. Both implementations find the model's ``SparseTable`` rows
-from row keys of value codes, and share the factor formulas:
+``repairs`` encodes a batch once into value codes and returns its
+change list, one (tid, attr, new value code) row per repaired cell. It
+runs distributed via ``mapInPandas`` with the fitted model in a Spark
+broadcast; the driver decodes the changes (``apply_repairs``). Both
+implementations share the factor formulas:
 
 * ``base`` runs ``_clean_loop``, the literal per-cell loop over rows ×
   attributes. It is also the reference the batched kernel is tested
   against (``tests/test_inference.py``), for every variant.
-* ``PI`` / ``PIP`` run one batched numpy kernel over the batch encoded
-  once into value codes (missing and out-of-vocabulary values get
-  distinct negative codes). Per target attribute, each factor vector is
-  built once per distinct table row the batch reads, and factors are
-  summed in the loop's order, so repairs are bit-identical to the
-  loop's. PI scores rows in blocks as (rows × dom) matrices. PIP
-  computes the tuple filter for every row first, so skipped cells are
-  never scored, and then scores only the candidates domain pruning
-  keeps: for a cell with blanket evidence, the kept candidates come
-  straight from its blanket corr rows, and it is scored at those and at
-  its original value; a cell without blanket evidence keeps its whole
-  domain and is scored as in PI.
+* ``PI`` / ``PIP`` run ``_clean_kernel``, one batched numpy kernel. Per
+  target attribute, each factor vector is built once per distinct table
+  row the batch reads, and factors are summed in the loop's order, so
+  repairs are bit-identical to the loop's. PI scores rows in blocks as
+  (rows × dom) matrices. PIP computes the tuple filter for every row
+  first, so skipped cells are never scored, and then scores only the
+  candidates domain pruning keeps: for a cell with blanket evidence,
+  the kept candidates come straight from its blanket corr rows, and it
+  is scored at those and at its original value; a cell without blanket
+  evidence keeps its whole domain and is scored as in PI.
 """
 from __future__ import annotations
 
@@ -73,13 +72,15 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from .model import FittedModel, config_code, config_keys, value_codes
+from .model import FittedModel, config_key, config_keys, value_codes
 from .pruning import (domain_prune_mask, domain_prune_pairs, tuple_filter,
                       tuple_filter_rows)
 
-__all__ = ["InferenceParams", "clean_batch", "run_inference"]
+__all__ = ["InferenceParams", "repairs", "apply_repairs", "clean_batch",
+           "run_inference"]
 
 _NEG_INF = float("-inf")
+_MISSING = -2   # the code of a missing value; -1 is out of vocabulary
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class InferenceParams:
 
 
 class _Caches:
-    """Per-partition gather caches (evidence values repeat heavily)."""
+    """Per-partition gather caches, keyed by value codes."""
 
     def __init__(self):
         self.parent: dict = {}
@@ -118,103 +119,85 @@ def _loo_adjust(cnt, total, dom_f, alpha, vec_at_orig) -> np.ndarray:
             - vec_at_orig)
 
 
-def _parent_factor(model: FittedModel, caches: _Caches, j: str,
-                   row_val: dict):
+def _key(model: FittedModel, cols: list[str], row: dict) -> int:
+    """``config_key`` of the codes ``row`` holds for ``cols``."""
+    return int(config_key(np.array([[row[c] for c in cols]], dtype=np.int64),
+                          [model.dom_size(c) for c in cols])[0])
+
+
+def _parent_factor(model: FittedModel, caches: _Caches, j: str, row: dict):
     """(log Pr[c | parents(A_j)] vector, count vector, total) or None
     when the factor is uniform: parentless node, a missing or unknown
     parent value, or an unseen parent configuration (§6.1's
-    isolated-node rule — the sub-network carries no evidence)."""
+    isolated-node rule — the sub-network carries no evidence). ``row``
+    maps each attribute to the tuple's value code."""
     pars = model.parents[j]
     if not pars:
         return None
-    vals = tuple(row_val[p] for p in pars)
-    key = (j, vals)
-    hit = caches.parent.get(key, False)
-    if hit is not False:
-        return hit
-    table = model.cpt[j]
-    r = table.find(config_code(model.code, pars, vals))
-    out = None
-    if r >= 0:
-        cnt = table.dense([r])[0]
-        total = cnt.sum()
-        out = (_log_ratio(cnt, total, model.alpha, len(cnt)), cnt, total)
-    caches.parent[key] = out
-    return out
+    key = (j, tuple(row[p] for p in pars))
+    if key not in caches.parent:
+        table = model.cpt[j]
+        r = table.find(_key(model, pars, row))
+        out = None
+        if r >= 0:
+            cnt = table.dense([r])[0]
+            total = cnt.sum()
+            out = (_log_ratio(cnt, total, model.alpha, len(cnt)), cnt, total)
+        caches.parent[key] = out
+    return caches.parent[key]
 
 
 def _child_factor(model: FittedModel, caches: _Caches, j: str, ch: str,
-                  row_val: dict):
+                  row: dict):
     """(log Pr[t_child | c, co-parents] vector over candidates c, view
     counts, co-parent totals) or None when the factor is uninformative."""
-    e = row_val[ch]
-    if e == "":
+    if row[ch] == _MISSING:
         return None
-    copa_cols = [p for p in model.parents[ch] if p != j]
-    copa = tuple(row_val[p] for p in copa_cols)
-    key = (j, ch, copa, e)
-    hit = caches.child.get(key, False)
-    if hit is not False:
-        return hit
-    view, tot = model.childview[(ch, j)], model.childtot[(ch, j)]
-    tr = tot.find(config_code(model.code, copa_cols, copa))
-    out = None   # no observations at all: uniform, skip
-    if tr >= 0:
-        vr = view.find(config_code(model.code, copa_cols + [ch], copa + (e,)))
-        vcnt, tcnt = view.dense([vr])[0], tot.dense([tr])[0]
-        out = (_log_ratio(vcnt, tcnt, model.alpha, model.dom_size(ch)),
-               vcnt, tcnt)
-    caches.child[key] = out
-    return out
+    copa = [p for p in model.parents[ch] if p != j]
+    key = (j, ch, tuple(row[p] for p in copa), row[ch])
+    if key not in caches.child:
+        view, tot = model.childview[(ch, j)], model.childtot[(ch, j)]
+        tr = tot.find(_key(model, copa, row))
+        out = None   # no observations at all: uniform, skip
+        if tr >= 0:
+            vr = view.find(_key(model, copa + [ch], row))
+            vcnt, tcnt = view.dense([vr])[0], tot.dense([tr])[0]
+            out = (_log_ratio(vcnt, tcnt, model.alpha, model.dom_size(ch)),
+                   vcnt, tcnt)
+        caches.child[key] = out
+    return caches.child[key]
 
 
 def _node_scalar(model: FittedModel, caches: _Caches, v: str,
-                 row_val: dict) -> float:
+                 row: dict) -> float:
     """log Pr[t_v | parents(v)] — a candidate-independent factor, used
     only by the naive full-network ("base") variant. A parentless node,
     or a missing or unseen parent config, falls back to the marginal
     ``counts[v]``."""
-    tv = row_val[v]
-    if tv == "":
-        return 0.0
-    code = model.code[v].get(tv)
-    if code is None:
+    tv = row[v]
+    if tv < 0:
         return 0.0
     pars = model.parents[v]
-    vals = tuple(row_val[p] for p in pars)
-    key = (v, vals, tv)
-    hit = caches.scalar.get(key)
-    if hit is not None:
-        return hit
-    r = model.cpt[v].find(config_code(model.code, pars, vals))
-    cnt = model.counts[v] if r < 0 else model.cpt[v].dense([r])[0]
-    # naive evaluation: materialize the whole smoothed vector, then index
-    out = float(_log_ratio(cnt, cnt.sum(), model.alpha, len(cnt))[code])
-    caches.scalar[key] = out
-    return out
+    key = (v, tuple(row[p] for p in pars), tv)
+    if key not in caches.scalar:
+        r = model.cpt[v].find(_key(model, pars, row))
+        cnt = model.counts[v] if r < 0 else model.cpt[v].dense([r])[0]
+        # naive: materialize the whole smoothed vector, then index it
+        caches.scalar[key] = float(
+            _log_ratio(cnt, cnt.sum(), model.alpha, len(cnt))[tv])
+    return caches.scalar[key]
 
 
 def _corr_gather(model: FittedModel, caches: _Caches, j: str, k: str,
-                 e: str):
+                 e: int):
     """Dense (weight, raw-count) vectors over dom(A_j) for evidence
-    value e of A_k, or None when (·, e) was never observed."""
+    value code e of A_k, or None when (·, e) was never observed."""
     key = (j, k, e)
-    hit = caches.corr.get(key, False)
-    if hit is not False:
-        return hit
-    entry = model.corr.lookup(j, k, e)
-    if entry is None:
-        caches.corr[key] = None
-        return None
-    codes, w, cnt = entry
-    dom = model.dom_size(j)
-    wd = np.zeros(dom)
-    cd = np.zeros(dom)
-    np.add.at(wd, codes, w)
-    np.add.at(cd, codes, cnt)
-    out = (wd, cd)
-    caches.corr[key] = out
-    return out
+    if key not in caches.corr:
+        entry = model.corr.lookup(j, k, e)   # (codes, w, cnt), codes unique
+        caches.corr[key] = None if entry is None else tuple(
+            np.bincount(entry[0], v, model.dom_size(j)) for v in entry[1:])
+    return caches.corr[key]
 
 
 _CS_PENALTY = 0.1   # slope of the negative-weight CS branch
@@ -238,20 +221,20 @@ def _cs_term(w: np.ndarray, cnt: np.ndarray) -> np.ndarray:
             + _CS_PENALTY * np.maximum(np.minimum(w, 0.0), -_CS_CAP))
 
 
-def _clean_loop(pdf: pd.DataFrame, model: FittedModel,
-                params: InferenceParams) -> pd.DataFrame:
-    """Literal Algorithm 1, one cell at a time: the ``base`` variant, and
-    the reference the batched PI/PIP kernel is tested against."""
+def _clean_loop(codes: pd.DataFrame, model: FittedModel,
+                params: InferenceParams) -> list:
+    """Literal Algorithm 1, one cell at a time, over a batch of value
+    codes (``_encode``): the ``base`` variant, and the reference the
+    batched PI/PIP kernel is tested against. Returns its repairs as
+    (tid, attr, code) triples."""
     attrs = model.attrs
     caches = _Caches()
-    cols = {a: pdf[a].to_numpy(dtype=object) for a in attrs}
-    n = len(pdf)
-    out = {a: cols[a].copy() for a in attrs}
     children = model.children
     alpha = model.alpha
     naive = params.variant == "base"
-    for i in range(n):
-        row_val = {a: cols[a][i] for a in attrs}
+    fixed = []
+    for tid, vals in zip(codes.index, codes[attrs].to_numpy().tolist()):
+        row = dict(zip(attrs, vals))
         for j in attrs:
             if naive:
                 # Naive full-network variable elimination recomputes
@@ -264,8 +247,7 @@ def _clean_loop(pdf: pd.DataFrame, model: FittedModel,
             dom = model.dom_size(j)
             if dom == 0:
                 continue
-            orig = row_val[j]
-            orig_code = model.code[j].get(orig, -1) if orig != "" else -1
+            orig_code = row[j]
 
             # --- compensatory gathers (Eq. 2), over all other attrs ---
             w_sum = np.zeros(dom)
@@ -276,18 +258,14 @@ def _clean_loop(pdf: pd.DataFrame, model: FittedModel,
             for k in attrs:
                 if k == j:
                     continue
-                e = row_val[k]
-                if e == "":
-                    continue
-                g = _corr_gather(model, caches, j, k, e)
+                e = row[k]
+                g = None if e < 0 else _corr_gather(model, caches, j, k, e)
                 if g is None:
                     continue
                 wd, cd = g
                 w_sum = w_sum + wd
                 cnt_vecs.append(cd)
-                ecode = model.code[k].get(e, -1)
-                evid_counts.append(
-                    float(model.counts[k][ecode]) if ecode >= 0 else 0.0)
+                evid_counts.append(float(model.counts[k][e]))
                 if k in blanket:
                     blanket_cnt_vecs.append(cd)
 
@@ -298,7 +276,7 @@ def _clean_loop(pdf: pd.DataFrame, model: FittedModel,
                     continue
 
             # --- BN term ---------------------------------------------
-            pres = _parent_factor(model, caches, j, row_val)
+            pres = _parent_factor(model, caches, j, row)
             loo_delta = 0.0
             if pres is None:
                 score = np.zeros(dom)
@@ -311,7 +289,7 @@ def _clean_loop(pdf: pd.DataFrame, model: FittedModel,
                         loo_delta += _loo_adjust(cnt, total, dom, alpha,
                                                  pvec[orig_code])
             for ch in children[j]:
-                res = _child_factor(model, caches, j, ch, row_val)
+                res = _child_factor(model, caches, j, ch, row)
                 if res is None:
                     continue
                 cvec, vcnts, tcnts = res
@@ -328,7 +306,7 @@ def _clean_loop(pdf: pd.DataFrame, model: FittedModel,
                 const = 0.0
                 for v in attrs:
                     if v not in involved:
-                        const += _node_scalar(model, caches, v, row_val)
+                        const += _node_scalar(model, caches, v, row)
                 score = score + const
 
             # --- compensatory term -----------------------------------
@@ -371,15 +349,12 @@ def _clean_loop(pdf: pd.DataFrame, model: FittedModel,
             if best == orig_code:
                 continue
             if cand[best] > p_orig + params.margin and cand[best] > _NEG_INF:
-                out[j][i] = model.vocab[j][best]
-    res = pd.DataFrame(out)
-    res.insert(0, "tid", pdf["tid"].astype(str).to_numpy())
-    return res
+                fixed.append((tid, j, best))
+    return fixed
 
 
 _BLOCK = 256     # rows scored at once: on a 5000-row soccer batch, 256
                  # beat 128, 1024 and 5000
-_MISSING = -2   # the code of a missing value; -1 is out of vocabulary
 
 
 def _bn_factors(model: FittedModel, codes: pd.DataFrame, j: str,
@@ -472,8 +447,9 @@ def _kept_candidates(model: FittedModel, j: str, top_k: int,
 
 
 def _repair_attr(model: FittedModel, params: InferenceParams,
-                 codes: pd.DataFrame, j: str, out_j: np.ndarray) -> None:
-    """Score and repair every cell of attribute ``j`` in the batch.
+                 codes: pd.DataFrame, j: str, fixed: list) -> None:
+    """Score every cell of attribute ``j`` in the batch, and add its
+    repairs to ``fixed`` as (tid, ``j``, code).
 
     PI rows, and PIP rows without blanket evidence (domain pruning keeps
     their whole domain), are scored in blocks of ``_BLOCK`` rows as
@@ -484,7 +460,7 @@ def _repair_attr(model: FittedModel, params: InferenceParams,
     (``_pair_scores``). Either way repairs are bit-identical to
     ``_clean_loop``."""
     dom = model.dom_size(j)
-    n = len(out_j)
+    n = len(codes)
     oc = codes[j].to_numpy()
     has_orig = oc >= 0
     oc0 = np.where(has_orig, oc, 0)
@@ -528,7 +504,7 @@ def _repair_attr(model: FittedModel, params: InferenceParams,
     def repair(r, best, top, p_orig):
         fix = ((best != oc[r]) & (top > p_orig + params.margin)
                & (top > _NEG_INF))
-        out_j[r[fix]] = model.vocab[j][best[fix]]
+        fixed.extend(zip(codes.index[r[fix]], [j] * fix.sum(), best[fix]))
 
     # --- whole domain, block by block ---------------------------------
     for s in range(0, len(dense), _BLOCK):
@@ -572,49 +548,78 @@ def _repair_attr(model: FittedModel, params: InferenceParams,
         repair(r, best, top, orig_score(r, at_orig[rows]))
 
 
-def clean_batch(pdf: pd.DataFrame, model: FittedModel,
-                params: InferenceParams) -> pd.DataFrame:
+def _clean_kernel(codes: pd.DataFrame, model: FittedModel,
+                  params: InferenceParams) -> list:
+    """The batched PI/PIP kernel: ``_clean_loop``'s repairs."""
+    fixed = []
+    for j in model.attrs:
+        if model.dom_size(j):
+            _repair_attr(model, params, codes, j, fixed)
+    return fixed
+
+
+def _encode(pdf: pd.DataFrame, model: FittedModel) -> pd.DataFrame:
+    """The value code of every cell, indexed by tid (as ``str``):
+    ``_MISSING`` for "", -1 outside the vocabulary."""
+    return pd.DataFrame({a: np.where(pdf[a] == "", _MISSING,
+                                     value_codes(pdf[a], model.code[a]))
+                         for a in model.attrs},
+                        index=pdf["tid"].astype(str).to_numpy())
+
+
+def repairs(pdf: pd.DataFrame, model: FittedModel,
+            params: InferenceParams) -> pd.DataFrame:
     """Algorithm 1 over one batch of tuples whose cells are strings, ""
     for missing (``model.normalize_missing``, as ``BClean.fit`` leaves
-    them). Returns the repaired batch."""
-    if params.variant == "base":
-        return _clean_loop(pdf, model, params)
-    attrs = model.attrs
-    cols = {a: pdf[a].to_numpy(dtype=object) for a in attrs}
-    codes = pd.DataFrame({a: np.where(cols[a] == "", _MISSING,
-                                      value_codes(pdf[a], model.code[a]))
-                          for a in attrs})
-    out = {a: cols[a].copy() for a in attrs}
-    for j in attrs:
-        if model.dom_size(j):
-            _repair_attr(model, params, codes, j, out[j])
-    res = pd.DataFrame(out)
-    res.insert(0, "tid", pdf["tid"].astype(str).to_numpy())
-    return res
+    them): the change list, one (``tid`` as ``str``, ``attr``, ``code``
+    of the new value in ``model.vocab[attr]``) row per repaired cell."""
+    clean = _clean_loop if params.variant == "base" else _clean_kernel
+    out = pd.DataFrame(clean(_encode(pdf, model), model, params),
+                       columns=["tid", "attr", "code"])
+    return out.astype({"code": np.int64})
+
+
+def apply_repairs(frame: pd.DataFrame, changes: pd.DataFrame,
+                  vocab: dict[str, np.ndarray]) -> pd.DataFrame:
+    """``frame`` (unique ``str`` tids, string cells) with the ``repairs``
+    change list decoded into a copy of it, indexed from 0."""
+    out = frame.reset_index(drop=True)
+    at = pd.Index(out["tid"]).get_indexer(changes["tid"])
+    code = changes["code"].to_numpy()
+    for a, i in changes.groupby("attr", sort=False).indices.items():
+        col = out[a].to_numpy(dtype=object, copy=True)
+        col[at[i]] = vocab[a][code[i]]
+        out[a] = col
+    return out
+
+
+def clean_batch(pdf: pd.DataFrame, model: FittedModel,
+                params: InferenceParams) -> pd.DataFrame:
+    """The repaired batch: ``repairs`` applied to ``pdf``'s tids (as
+    ``str``) and attributes."""
+    frame = pdf[["tid", *model.attrs]].astype(object).astype({"tid": str})
+    return apply_repairs(frame, repairs(pdf, model, params), model.vocab)
 
 
 def run_inference(spark: SparkSession, dirty: DataFrame, model: FittedModel,
                   params: InferenceParams) -> pd.DataFrame:
-    """Distribute Algorithm 1 over the cluster via mapInPandas."""
+    """Distribute ``repairs`` over the cluster via mapInPandas: the change
+    list of every tuple of ``dirty``, in no particular order."""
     bc = spark.sparkContext.broadcast(model)
-    schema = dirty.select("tid", *model.attrs).schema
 
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         m = bc.value
         for pdf in batches:
-            yield clean_batch(pdf, m, params)
+            yield repairs(pdf, m, params)
 
     n_parts = max(2, spark.sparkContext.defaultParallelism)
     try:
-        out = (
+        return (
             dirty.select("tid", *model.attrs)
             .repartition(n_parts)
-            .mapInPandas(kernel, schema=schema)
+            .mapInPandas(kernel, schema="tid string, attr string, code long")
             .toPandas()
         )
     finally:
         # also deletes the driver's pickled copy, which unpersist keeps
         bc.destroy()
-    numeric = out["tid"].str.fullmatch(r"[+-]?\d+").all()
-    key = (lambda s: s.astype(int)) if numeric else None
-    return out.sort_values("tid", key=key).reset_index(drop=True)

@@ -33,8 +33,8 @@ if TYPE_CHECKING:
     from .compensatory import CorrIndex
 
 __all__ = ["FittedModel", "SparseTable", "config_key", "config_keys",
-           "config_code", "value_codes", "normalize_missing", "build_vocab",
-           "build_counts", "build_cpt_table", "build_child_views"]
+           "value_codes", "normalize_missing", "build_vocab", "build_counts",
+           "build_cpt_table", "build_child_views"]
 
 
 _NO_KEY = np.iinfo(np.int64).min   # sentinel past the last row key
@@ -155,14 +155,6 @@ def config_keys(codes: pd.DataFrame, cols: Sequence[str],
     columns ``cols``."""
     return config_key(codes[list(cols)].to_numpy(dtype=np.int64),
                       [len(code[c]) for c in cols])
-
-
-def config_code(code: dict[str, dict[str, int]], cols: Sequence[str],
-                vals: Sequence[str]) -> int:
-    """``config_key`` of one configuration ``vals`` of string values."""
-    row = np.array([[code[c].get(v, -1) for c, v in zip(cols, vals)]],
-                   dtype=np.int64).reshape(1, len(cols))
-    return int(config_key(row, [len(code[c]) for c in cols])[0])
 
 
 def value_codes(values: pd.Series, code: dict[str, int]) -> np.ndarray:

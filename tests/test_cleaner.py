@@ -8,7 +8,7 @@ import pytest
 
 import repro.core.cleaner as cleaner_mod
 from repro.core.cleaner import BClean
-from repro.core.inference import run_inference
+from repro.core.inference import apply_repairs, run_inference
 from repro.core.network import BayesianNetwork
 from repro.datasets.registry import load_task
 from repro.eval.metrics import score_repair
@@ -51,7 +51,8 @@ def test_variant_quality_close(spark, hospital_task, fitted_hospital):
     pip = dataclasses.replace(bc.params, variant="PIP")
     f1 = {}
     for name, p in [("base", base), ("PI", bc.params), ("PIP", pip)]:
-        rep = run_inference(spark, bc._dirty_sdf, bc.model, p)
+        rep = apply_repairs(bc._dirty, run_inference(
+            spark, bc._dirty_sdf, bc.model, p), bc.model.vocab)
         f1[name] = score_repair(t.clean, t.dirty, rep).f1
     # §7.2.1: the efficiency optimizations do not significantly hurt quality
     assert abs(f1["base"] - f1["PI"]) < 0.08

@@ -109,21 +109,22 @@ def test_build_corr_index_lookup(spark, frame):
     code = {"a": {"x": 0, "bad!": 1}, "b": {"p": 0, "q": 1},
             "c": {"1": 0, "2": 1}}
     idx = build_corr_index(out, code)
-    entry = idx.lookup("a", "b", "p")
+    entry = idx.lookup("a", "b", code["b"]["p"])
     assert entry is not None
     codes, w, cnt = entry
     got = dict(zip(codes.tolist(), cnt.tolist()))
     assert got[0] == 2.0  # (x, p) in rows 0 and 1
     assert got[1] == 1.0  # (bad!, p) once, in row 2
-    assert idx.lookup("a", "b", "nope") is None
-    assert idx.lookup("a", "zz", "p") is None
+    assert idx.lookup("a", "b", -1) is None    # out of vocabulary
+    assert idx.lookup("a", "b", -2) is None    # missing
+    assert idx.lookup("a", "zz", 0) is None
 
 
 def test_build_corr_index_skips_unknown_codes(spark, frame):
     out = corr_counts(spark.createDataFrame(frame), ["a", "b", "c"], {})
     code = {"a": {"x": 0}, "b": {"p": 0, "q": 1}, "c": {"1": 0, "2": 1}}
     idx = build_corr_index(out, code)
-    entry = idx.lookup("a", "b", "p")
+    entry = idx.lookup("a", "b", code["b"]["p"])
     codes, _, _ = entry
     assert set(codes.tolist()) == {0}  # 'bad!' dropped (not in vocab)
 
@@ -132,7 +133,7 @@ def test_build_corr_index_empty():
     idx = build_corr_index(
         pd.DataFrame(columns=["attr_i", "attr_j", "c", "e", "w", "cnt"]),
         {})
-    assert idx.lookup("a", "b", "x") is None
+    assert idx.lookup("a", "b", 0) is None
 
 
 def test_cooccurrence_sums_lookups_over_the_tuple(spark, frame):

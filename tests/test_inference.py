@@ -11,8 +11,9 @@ import pytest
 from repro.core import inference
 from repro.core.cleaner import BClean
 from repro.core.constraints import UC
-from repro.core.inference import (InferenceParams, _Caches, _clean_loop,
-                                  _corr_gather, _node_scalar, clean_batch,
+from repro.core.inference import (InferenceParams, _Caches, _clean_kernel,
+                                  _clean_loop, _corr_gather, _encode,
+                                  _node_scalar, apply_repairs, clean_batch,
                                   run_inference)
 from repro.core.network import BayesianNetwork
 from repro.core.pruning import domain_prune_mask, tuple_filter
@@ -116,13 +117,14 @@ def _assert_batched_matches_loop(pdf, model, params):
     and of 2, where ties at the K-th score and pruned originals are
     common."""
     runs = [("PI", params.top_k)] + [("PIP", k) for k in (params.top_k, 1, 2)]
+    codes = _encode(pdf, model)
     for variant, top_k in runs:
         for use_ucs in (True, False):
             p = dataclasses.replace(params, variant=variant, use_ucs=use_ucs,
                                     top_k=top_k)
-            pd.testing.assert_frame_equal(
-                clean_batch(pdf, model, p), _clean_loop(pdf, model, p),
-                obj=f"{variant} top_k={top_k} use_ucs={use_ucs}")
+            assert (sorted(_clean_kernel(codes, model, p))
+                    == sorted(_clean_loop(codes, model, p))), \
+                f"{variant} top_k={top_k} use_ucs={use_ucs}"
 
 
 @pytest.mark.parametrize("name", DATASETS)
@@ -190,18 +192,17 @@ def _pip_cases(pdf, model, params):
     pruning functions."""
     cases = set()
     caches = _Caches()
-    for _, row in pdf.iterrows():
+    for row in _encode(pdf, model).to_dict("records"):
         for j in model.attrs:
-            orig = model.code[j].get(row[j], -1)
+            orig = row[j]
             cnt_vecs, evid, blanket_vecs = [], [], []
             for k in model.attrs:
-                g = (None if k == j or row[k] == ""
+                g = (None if k == j or row[k] < 0
                      else _corr_gather(model, caches, j, k, row[k]))
                 if g is None:
                     continue
                 cnt_vecs.append(g[1])
-                ecode = model.code[k].get(row[k], -1)
-                evid.append(model.counts[k][ecode] if ecode >= 0 else 0.0)
+                evid.append(model.counts[k][row[k]])
                 if k in model.parents[j] or k in model.children[j]:
                     blanket_vecs.append(g[1])
             f = tuple_filter(orig, cnt_vecs, evid)
@@ -248,32 +249,46 @@ def test_node_scalar_falls_back_to_marginal(micro_fit):
     pdf, bc = micro_fit
     m = bc.model
     a = m.alpha
+
+    def codes(row):
+        return _encode(pd.DataFrame([{"tid": "0", **row}]),
+                       m).iloc[0].to_dict()
+
     # parentless node
     got = _node_scalar(m, _Caches(), "tag",
-                       {"key": "key0", "val": "val0", "tag": "tag1"})
+                       codes({"key": "key0", "val": "val0", "tag": "tag1"}))
     assert got == pytest.approx(_marginal_log(pdf, "tag", "tag1", a),
                                 rel=1e-12)
     # unseen and missing parent configs of "val" (parent "key")
     for key in ("key9", ""):
         got = _node_scalar(m, _Caches(), "val",
-                           {"key": key, "val": "val3", "tag": "tag0"})
+                           codes({"key": key, "val": "val3", "tag": "tag0"}))
         assert got == pytest.approx(_marginal_log(pdf, "val", "val3", a),
                                     rel=1e-12)
     # a seen parent config reads the CPT instead
     got = _node_scalar(m, _Caches(), "val",
-                       {"key": "key3", "val": "val3", "tag": "tag0"})
+                       codes({"key": "key3", "val": "val3", "tag": "tag0"}))
     assert got > _marginal_log(pdf, "val", "val3", a)
 
 
 def test_run_inference_matches_clean_batch(spark, micro_fit):
+    """run_inference returns one row per cell that clean_batch changed,
+    none for an untouched cell, each holding the code of clean_batch's
+    new value; decoded into the dirty frame, they give clean_batch's."""
     pdf, bc = micro_fit
     local = clean_batch(pdf, bc.model, bc.params)
-    dist = run_inference(spark, spark.createDataFrame(pdf), bc.model,
-                         bc.params)
+    changes = run_inference(spark, spark.createDataFrame(pdf), bc.model,
+                            bc.params)
+    assert list(changes.columns) == ["tid", "attr", "code"]
+    repaired, dirty = local.set_index("tid"), pdf.set_index("tid")
+    changed = sorted((t, a) for a in bc.model.attrs
+                     for t in repaired.index[repaired[a] != dirty[a]])
+    assert len(changed) >= 3
+    assert sorted(zip(changes["tid"], changes["attr"])) == changed
+    for tid, a, code in changes.itertuples(index=False):
+        assert bc.model.vocab[a][code] == repaired.at[tid, a]
     pd.testing.assert_frame_equal(
-        local.sort_values("tid", key=lambda s: s.astype(int))
-             .reset_index(drop=True),
-        dist)
+        local, apply_repairs(pdf, changes, bc.model.vocab))
 
 
 def test_clean_leaves_no_broadcast_file(spark, micro_fit):
@@ -286,15 +301,24 @@ def test_clean_leaves_no_broadcast_file(spark, micro_fit):
 
 
 def test_run_inference_non_integer_tids(spark):
-    pdf = _micro()
-    pdf["tid"] = "t" + pdf["tid"]
+    """clean() returns the rows in tid order: lexicographic for string
+    tids, numeric for integer ones, whatever the order of the rows."""
     net = BayesianNetwork.from_parents({"key": [], "val": ["key"], "tag": []})
-    bc = BClean("PI", margin=1.0).fit(spark, pdf, ucs={}, network=net)
-    out = bc.clean()
-    assert list(out["tid"]) == sorted(pdf["tid"])  # lexicographic order
-    local = clean_batch(pdf, bc.model, bc.params)
-    pd.testing.assert_frame_equal(
-        local.sort_values("tid").reset_index(drop=True), out)
+    micro = _micro()
+    shuffled = micro.sample(frac=1.0, random_state=0)
+    numeric = [str(t) for t in range(len(micro))]
+    for pdf, want in [
+        (micro.assign(tid="t" + micro["tid"]), sorted("t" + micro["tid"])),
+        (shuffled.assign(tid="t" + shuffled["tid"]),
+         sorted("t" + micro["tid"])),
+        (shuffled, numeric),
+    ]:
+        bc = BClean("PI", margin=1.0).fit(spark, pdf, ucs={}, network=net)
+        out = bc.clean()
+        assert list(out["tid"]) == want
+        local = clean_batch(pdf, bc.model, bc.params).set_index("tid")
+        pd.testing.assert_frame_equal(
+            local.loc[want].reset_index(), out)
 
 
 def test_margin_blocks_weak_repairs(micro_fit):

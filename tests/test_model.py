@@ -8,8 +8,15 @@ import pandas as pd
 import pytest
 
 from repro.core.model import (SparseTable, build_child_views,
-                              build_cpt_table, build_vocab, config_code,
-                              config_key, normalize_missing)
+                              build_cpt_table, build_vocab, config_key,
+                              config_keys, normalize_missing, value_codes)
+
+
+def _key(code, cols, vals):
+    """The row key of one configuration ``vals`` of string values."""
+    row = pd.DataFrame({c: value_codes(pd.Series([v]), code[c])
+                        for c, v in zip(cols, vals)})
+    return int(config_keys(row, cols, code)[0])
 
 
 @pytest.fixture()
@@ -91,11 +98,11 @@ def test_build_cpt_table_one_parent(frame):
     _check_layout(table)
     assert _as_dict(table, code, ["x", "y"]) == _groupby(pdf, ["x", "y"],
                                                          code)
-    codes, counts = table.row(config_code(code, ["x"], ["a"]))
+    codes, counts = table.row(_key(code, ["x"], ["a"]))
     assert dict(zip(codes.tolist(), counts.tolist())) == {
         code["y"]["p"]: 2.0, code["y"]["r"]: 1.0}
-    assert table.row(config_code(code, ["x"], ["zzz"])) is None
-    assert table.row(config_code(code, ["x"], [""])) is None
+    assert table.row(_key(code, ["x"], ["zzz"])) is None
+    assert table.row(_key(code, ["x"], [""])) is None
 
 
 def test_build_cpt_table_two_parents(frame):
@@ -108,7 +115,7 @@ def test_build_cpt_table_two_parents(frame):
     got = _as_dict(table, code, ["x", "y", "z"])
     assert got == _groupby(pdf, ["x", "y", "z"], code)
     assert got[("a", "p", "1")] == 3.0     # duplicate entries summed
-    key = config_code(code, ["x", "y"], ["a", "p"])
+    key = _key(code, ["x", "y"], ["a", "p"])
     assert key == code["x"]["a"] * len(code["y"]) + code["y"]["p"]
 
 
@@ -137,7 +144,7 @@ def test_build_child_views_single_parent(frame):
     # view: key (child value) -> counts over dom(x)
     assert _as_dict(views["x"], code, ["y", "x"]) == _groupby(
         pdf, ["y", "x"], code)
-    codes, counts = views["x"].row(config_code(code, ["y"], ["p"]))
+    codes, counts = views["x"].row(_key(code, ["y"], ["p"]))
     assert dict(zip(codes.tolist(), counts.tolist())) == {code["x"]["a"]: 2.0}
     # tot: no co-parents, so one row under key 0
     assert _as_dict(tots["x"], code, ["x"]) == _groupby(pdf, ["x"], code)
@@ -157,7 +164,7 @@ def test_build_child_views_coparents(frame):
         assert _as_dict(tots[p], code, [copa, p]) == _groupby(
             pdf, [copa, p], code)
     # the parent-x total over co-parent y = p sums both child values
-    codes, totals = tots["x"].row(config_code(code, ["y"], ["p"]))
+    codes, totals = tots["x"].row(_key(code, ["y"], ["p"]))
     assert dict(zip(codes.tolist(), totals.tolist())) == {code["x"]["a"]: 3.0}
 
 
