@@ -8,7 +8,8 @@ generated), so the lite version mines the same family of rules
 directly: high-confidence approximate FDs ``X → Y`` discovered from the
 dirty data with no prior knowledge or labels, applied where a tuple
 disagrees with the rule's majority consequent (both from
-``cpt.majority`` over the Algorithm-2 co-occurrence counts).
+``compensatory.pair_majority`` over the Algorithm-2 co-occurrence
+counts).
 
 Characteristic shape (paper Table 4): very high precision — a repair
 fires only under a ≥95%-confidence rule — but low recall, since errors
@@ -19,8 +20,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.compensatory import corr_counts
-from repro.core.cpt import majority
+from repro.core.compensatory import corr_counts, pair_majority
 from repro.core.model import normalize_missing
 from repro.core.structure import edge_determinism
 from repro.datasets.registry import CleaningTask
@@ -41,7 +41,7 @@ class GarfLite:
 
         # Rule discovery: single-determinant approximate FDs, each with
         # {X-value: (majority Y-value, its count, X-value count)}.
-        major = majority(corr_pdf, ["attr_i", "attr_j", "e"], "c")
+        major = pair_majority(corr_pdf)
         determinism = edge_determinism(major, attrs)
         by_pair = dict(iter(major.groupby(["attr_i", "attr_j"], sort=False)))
         rules: list[tuple[str, str, dict[str, tuple[str, int, int]]]] = []

@@ -15,8 +15,8 @@ Detectors (per cell):
   D4 FD violation  — the value disagrees with the majority consequent of
                      a mined approximate FD.
 
-D4's FDs and majorities come from ``cpt.majority`` over the Algorithm-2
-co-occurrence counts, as in the cleaner's edge filter.
+D4's FDs and majorities come from ``compensatory.pair_majority`` over
+the Algorithm-2 co-occurrence counts, as in the cleaner's edge filter.
 
 The gate fits per-(column, detector) reliability on 20 labeled tuples
 (labels drawn from ground truth, exactly what the paper's annotators
@@ -35,8 +35,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.compensatory import build_corr_index, corr_counts
-from repro.core.cpt import majority, value_counts
+from repro.core.compensatory import (build_corr_index, corr_counts,
+                                     pair_majority)
+from repro.core.cpt import value_counts
 from repro.core.model import build_vocab, normalize_missing
 from repro.core.similarity import edit_distance
 from repro.core.structure import edge_determinism
@@ -73,7 +74,7 @@ class RahaBaranLite:
         corr = build_corr_index(corr_pdf, code)
         sdf.unpersist()
         # Mine approximate FDs from the dirty data (for D4 + corrector).
-        major = majority(corr_pdf, ["attr_i", "attr_j", "e"], "c")
+        major = pair_majority(corr_pdf)
         determinism = edge_determinism(major, attrs)
         fds: dict[str, list[str]] = {a: [] for a in attrs}
         for (x, y), (det, support) in determinism.items():

@@ -28,9 +28,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession, functions as F
 
-from .compensatory import build_corr_index, corr_counts
+from .compensatory import build_corr_index, corr_counts, pair_majority
 from .constraints import UC
-from .cpt import cpt_counts, majority, value_counts
+from .cpt import cpt_counts, value_counts
 from .inference import InferenceParams, apply_repairs, run_inference
 from .model import (FittedModel, SparseTable, build_child_views,
                     build_counts, build_cpt_table, build_vocab,
@@ -125,8 +125,7 @@ class BClean:
         corr_pdf = corr_counts(
             sdf, attrs, ucs, lam=self.lam, beta=self.beta, tau=self.tau)
 
-        determinism = edge_determinism(
-            majority(corr_pdf, ["attr_i", "attr_j", "e"], "c"), attrs)
+        determinism = edge_determinism(pair_majority(corr_pdf), attrs)
 
         def fd_like(u: str, v: str) -> bool:
             det, support = determinism[(u, v)]
@@ -179,8 +178,10 @@ class BClean:
 
     def _estimate_cpts(self, attrs) -> None:
         """(Re)estimate the CPTs of ``attrs`` and their child views from
-        the dirty data, in one Spark job. A parentless attribute gets an
-        empty CPT: its marginal is ``model.counts[a]``."""
+        the dirty data. A parentless attribute gets an empty CPT: its
+        marginal is ``model.counts[a]``. A single-parent family is read
+        off the Algorithm-2 pair counts; the families with two or more
+        parents are counted in one Spark job (none if there are none)."""
         m = self.model
         for key in [k for k in m.childview if k[0] in attrs]:
             del m.childview[key]
@@ -188,8 +189,14 @@ class BClean:
         for a in attrs:
             m.cpt[a] = SparseTable([], [], [[]], m.dom_size(a))
         pars = {a: ps for a in attrs if (ps := self.network.parents(a))}
-        pdfs = cpt_counts(self._dirty_sdf, [[*p, a] for a, p in pars.items()])
-        for (a, ps), pdf in zip(pars.items(), pdfs):
+        for a, ps in pars.items():
+            if len(ps) == 1:
+                key = (a, ps[0])
+                m.cpt[a], m.childview[key], m.childtot[key] = (
+                    m.corr.single_parent(*key))
+        multi = {a: ps for a, ps in pars.items() if len(ps) > 1}
+        pdfs = cpt_counts(self._dirty_sdf, [[*p, a] for a, p in multi.items()])
+        for (a, ps), pdf in zip(multi.items(), pdfs):
             m.cpt[a] = build_cpt_table(pdf, a, ps, m.code)
             views, tots = build_child_views(pdf, a, ps, m.code)
             for p in ps:

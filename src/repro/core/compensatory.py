@@ -13,13 +13,18 @@ Two distributed computations over the dirty DataFrame:
   adds each tuple's weight, and one grouping-sets aggregation
   (``cpt.cpt_counts``) counts all m(m−1)/2 unordered attribute pairs,
   so the O(n·m²) pair expansion runs in Spark, matching the paper's
-  complexity analysis, with no melt and no join on tid.
+  complexity analysis, with no melt and no join on tid. ``w`` and the
+  count are symmetric, so each unordered pair is emitted once.
 
 ``Score_corr`` itself (Eq. 2) is evaluated at inference time from the
 driver-assembled index (``build_corr_index``): for each ordered pair
 (A_i → candidate attribute, A_j → evidence attribute), one
 ``model.SparseTable`` whose row for the code of evidence value e holds
-the (candidate code, weight, raw count) entries.
+the (candidate code, weight, raw count) entries; both orientations of a
+pair are built from its one row set. The raw counts of a pair are also
+the CPT of a node with a single parent (``CorrIndex.single_parent``),
+and ``pair_majority`` reads them as the FD majority of every ordered
+pair.
 """
 from __future__ import annotations
 
@@ -32,10 +37,11 @@ from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import DoubleType, StringType, StructField, StructType
 
 from .constraints import UC, uc_mask
-from .cpt import cpt_counts
+from .cpt import cpt_counts, majority
 from .model import SparseTable, value_codes
 
-__all__ = ["tuple_confidence", "corr_counts", "build_corr_index", "CorrIndex"]
+__all__ = ["tuple_confidence", "corr_counts", "pair_majority",
+           "build_corr_index", "CorrIndex"]
 
 
 def tuple_confidence(
@@ -80,8 +86,10 @@ def corr_counts(
     ``w`` is Σ_T (1[conf≥τ] − β·1[conf<τ]) over tuples containing the
     value pair; ``cnt`` is the raw co-occurrence count. Missing values
     do not form pairs. Each unordered attribute pair is aggregated once,
-    in one ``cpt.cpt_counts`` job; both ordered directions
-    (attr_i ≠ attr_j) are emitted, since ``w`` and ``cnt`` are symmetric.
+    in one ``cpt.cpt_counts`` job, and emitted once, with ``attr_i``
+    before ``attr_j`` in ``attrs`` order: ``w`` and ``cnt`` are
+    symmetric, so the rows of (attr_j, attr_i) are the same rows with
+    ``c`` and ``e`` swapped.
     """
     # positional column names, so that no attribute name (say 'w' or
     # 'conf') can clash with the columns the aggregation adds
@@ -92,15 +100,30 @@ def corr_counts(
         pos, {p: ucs[a] for p, a in name.items() if a in ucs}, lam=lam,
     ).withColumn("w", F.when(F.col("conf") >= tau, 1.0).otherwise(-beta))
     pairs = list(combinations(pos, 2))
-    parts = []
-    for (a, b), p in zip(pairs, cpt_counts(weighted, pairs, weight="w")):
-        for x, y in ((a, b), (b, a)):
-            parts.append(pd.DataFrame({
-                "attr_i": name[x], "attr_j": name[y], "c": p[x], "e": p[y],
-                "w": p["w"], "cnt": p["cnt"]}))
+    parts = [pd.DataFrame({"attr_i": name[a], "attr_j": name[b], "c": p[a],
+                           "e": p[b], "w": p["w"], "cnt": p["cnt"]})
+             for (a, b), p in zip(pairs, cpt_counts(weighted, pairs,
+                                                    weight="w"))]
     if not parts:
         return pd.DataFrame(columns=["attr_i", "attr_j", "c", "e", "w", "cnt"])
     return pd.concat(parts, ignore_index=True)
+
+
+_SWAP = {"attr_i": "attr_j", "attr_j": "attr_i", "c": "e", "e": "c"}
+
+
+def pair_majority(corr_pdf: pd.DataFrame) -> pd.DataFrame:
+    """The majority ``c`` per ``e`` of every ordered attribute pair of
+    ``corr_counts``' output, in both orientations of each unordered
+    pair: ``cpt.majority`` over ``[attr_i, attr_j, e]``, as
+    ``[attr_i, attr_j, e, c, cnt, total]``: the forward orientation's
+    rows, then the reverse one's. A tie at the maximum goes to the value
+    that comes first in ``corr_counts``' row order, in either
+    orientation. Each orientation is read off ``corr_pdf`` in place, so
+    no reversed copy of it is made."""
+    fwd = majority(corr_pdf, ["attr_i", "attr_j", "e"], "c")
+    rev = majority(corr_pdf, ["attr_j", "attr_i", "c"], "e")
+    return pd.concat([fwd, rev.rename(columns=_SWAP)], ignore_index=True)
 
 
 class CorrIndex:
@@ -117,6 +140,23 @@ class CorrIndex:
     def __init__(self, tables: dict, code: dict[str, dict[str, int]]):
         self.tables = tables
         self.code = code
+
+    def single_parent(self, a: str, p: str):
+        """``(cpt, childview, childtot)`` of a node ``a`` whose one parent
+        is ``p``, as ``BClean`` stores them, read off the raw counts:
+        ``cpt[a]`` is the count column of table (a, p), the child view
+        of ``p`` that of table (p, a), and the total one row under key 0
+        holding the count of each code of ``p``. All three are empty
+        when the pair never co-occurs."""
+        cpt, view = (self.tables.get(k) for k in ((a, p), (p, a)))
+        if cpt is None:
+            def empty(attr):
+                return SparseTable([], [], [[]], len(self.code[attr]))
+            return empty(a), empty(p), empty(p)
+        cnt = view.vals[1]
+        return (cpt.column(1), view.column(1),
+                SparseTable(np.zeros(len(cnt), dtype=np.int64), view.codes,
+                            [cnt], view.dom))
 
     def lookup(self, attr_i: str, attr_j: str, e: int):
         table = self.tables.get((attr_i, attr_j))
@@ -142,11 +182,13 @@ def build_corr_index(
     corr_pdf: pd.DataFrame,
     vocab_code: dict[str, dict[str, int]],
 ) -> CorrIndex:
-    """Group the Algorithm-2 output into one table per attribute pair."""
+    """Group the Algorithm-2 output into one table per ordered attribute
+    pair: the rows of each unordered pair give both of its tables."""
     tables = {}
     for (ai, aj), grp in corr_pdf.groupby(["attr_i", "attr_j"], sort=False):
-        tables[(ai, aj)] = SparseTable(
-            value_codes(grp["e"], vocab_code[aj]),
-            value_codes(grp["c"], vocab_code[ai]),
-            [grp["w"], grp["cnt"]], len(vocab_code[ai]))
+        c = value_codes(grp["c"], vocab_code[ai])
+        e = value_codes(grp["e"], vocab_code[aj])
+        vals = [grp["w"], grp["cnt"]]
+        tables[(ai, aj)] = SparseTable(e, c, vals, len(vocab_code[ai]))
+        tables[(aj, ai)] = SparseTable(c, e, vals, len(vocab_code[aj]))
     return CorrIndex(tables, vocab_code)

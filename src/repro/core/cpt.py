@@ -14,8 +14,9 @@ operator of Gray et al., ICDE 1996) and splits the result on the driver
 by ``grouping_id()``. A group with a missing key is dropped after the
 aggregation, which equals filtering the rows before it because the
 filter reads only the family's own columns. It runs once over every
-``[*parents, node]`` family, ``value_counts`` (the model's only
-marginal) runs it over the singleton families,
+``[*parents, node]`` family with two or more parents (a single-parent
+CPT is read off the Algorithm-2 pair counts), ``value_counts`` (the
+model's only marginal) runs it over the singleton families,
 ``compensatory.corr_counts`` over the attribute pairs, and the
 HoloClean baseline over its DCs. ``majority`` reads a count frame as
 the majority consequent of X → Y per X-value, the FD statistic behind

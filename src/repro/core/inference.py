@@ -603,8 +603,9 @@ def clean_batch(pdf: pd.DataFrame, model: FittedModel,
 
 def run_inference(spark: SparkSession, dirty: DataFrame, model: FittedModel,
                   params: InferenceParams) -> pd.DataFrame:
-    """Distribute ``repairs`` over the cluster via mapInPandas: the change
-    list of every tuple of ``dirty``, in no particular order."""
+    """Distribute ``repairs`` over the cluster via mapInPandas, one task
+    per partition of ``dirty`` (``BClean.fit`` makes one per core): the
+    change list of every tuple of ``dirty``, in no particular order."""
     bc = spark.sparkContext.broadcast(model)
 
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -612,11 +613,9 @@ def run_inference(spark: SparkSession, dirty: DataFrame, model: FittedModel,
         for pdf in batches:
             yield repairs(pdf, m, params)
 
-    n_parts = max(2, spark.sparkContext.defaultParallelism)
     try:
         return (
             dirty.select("tid", *model.attrs)
-            .repartition(n_parts)
             .mapInPandas(kernel, schema="tid string, attr string, code long")
             .toPandas()
         )

@@ -85,6 +85,14 @@ class SparseTable:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def column(self, i: int) -> "SparseTable":
+        """The table of value ``i`` alone, sharing this table's row keys
+        and codes (one copy of them when both are pickled)."""
+        out = object.__new__(SparseTable)
+        out.__dict__.update(self.__dict__, vals=self.vals[i:i + 1],
+                            _flat=None)
+        return out
+
     def find(self, keys):
         """Row index of each key; -1 where the table has no such row."""
         pos = np.searchsorted(self.keys, keys)

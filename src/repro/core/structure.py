@@ -19,9 +19,10 @@ Step 1 reads a sample that depends only on the data: ``BClean.fit``
 keeps the ``struct_sample`` rows with the smallest 64-bit hash of
 ``tid`` (``F.xxhash64``), ties broken by ``tid``.
 ``similarity_observations`` collects that sample once and runs one
-``mapInPandas`` task per pivot attribute; each task sorts the sample by
-(pivot, tid) and emits every adjacent pair, so the observation matrix
-has exactly m·(n−1) rows, in pivot order, and no pair is dropped.
+``mapInPandas`` task per core over a contiguous block of pivot
+attributes; for each pivot a task sorts the sample by (pivot, tid) and
+emits every adjacent pair, so the observation matrix has exactly
+m·(n−1) rows, in pivot order, and no pair is dropped.
 Steps 2–4 operate on an m×m matrix (m ≤ 15) on the driver.
 """
 from __future__ import annotations
@@ -45,7 +46,7 @@ def edge_determinism(major: pd.DataFrame, attrs: Sequence[str]
     """FD-ness of every candidate edge X → Y between two of ``attrs``,
     as ``{(X, Y): (det, support)}``, from the majority Y-value per
     X-value of the Algorithm-2 co-occurrence counts,
-    ``cpt.majority(corr_pdf, ["attr_i", "attr_j", "e"], "c")``:
+    ``compensatory.pair_majority(corr_pdf)``:
     ``det`` is the fraction of rows on which the majority would be
     correct (Σ cnt / Σ total, the confidence of the approximate FD
     X → Y), ``support`` the mean majority count; both are 0 for a pair
@@ -95,8 +96,11 @@ def similarity_observations(
             for i in pdf["id"].tolist():
                 yield _pivot_pairs(sample, attrs, attrs[i], numeric)
 
-    pivots = sample_sdf.sparkSession.range(len(attrs),
-                                           numPartitions=len(attrs))
+    # one task per core, each over a contiguous block of pivots: a task
+    # costs more to launch than a pivot costs to pair
+    spark = sample_sdf.sparkSession
+    tasks = min(len(attrs), spark.sparkContext.defaultParallelism)
+    pivots = spark.range(len(attrs), numPartitions=tasks)
     return pivots.mapInPandas(kernel, schema=schema)
 
 

@@ -2,15 +2,20 @@
 import dataclasses
 from types import SimpleNamespace
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 import repro.core.cleaner as cleaner_mod
 from repro.core.cleaner import BClean
+from repro.core.cpt import cpt_counts
 from repro.core.inference import apply_repairs, run_inference
+from repro.core.model import (build_child_views, build_cpt_table,
+                              normalize_missing)
 from repro.core.network import BayesianNetwork
 from repro.datasets.registry import load_task
+from repro.datasets.ucs import BN_EDITS
 from repro.eval.metrics import score_repair
 
 
@@ -89,15 +94,17 @@ def test_apply_network_edits_refreshes_cpts(spark, flights_task):
     assert ("act_arr_time", "flight") in bc.model.childview
 
 
+def _arrays(t):
+    return (t.keys.tolist(), t.start.tolist(), t.codes.tolist(),
+            t.vals.tolist(), t.dom)
+
+
 def _cpt_arrays(m):
     """Every array of the model's CPT and child-view tables."""
-    def arrays(t):
-        return (t.keys.tolist(), t.start.tolist(), t.codes.tolist(),
-                t.vals.tolist(), t.dom)
     return (
-        {a: arrays(t) for a, t in m.cpt.items()},
-        {k: arrays(t) for k, t in m.childview.items()},
-        {k: arrays(t) for k, t in m.childtot.items()},
+        {a: _arrays(t) for a, t in m.cpt.items()},
+        {k: _arrays(t) for k, t in m.childview.items()},
+        {k: _arrays(t) for k, t in m.childtot.items()},
     )
 
 
@@ -119,6 +126,99 @@ def test_apply_network_edits_matches_fresh_fit(spark, flights_task):
     assert bc.network.parents("act_arr_time") == []
     assert set(bc.network.edges()) == set(fresh.network.edges())
     assert _cpt_arrays(bc.model) == _cpt_arrays(fresh.model)
+
+
+def _missing_cells_fit(spark):
+    """A fit on a frame with "", None and NaN cells, with a node ``dep``
+    whose one parent ``empty`` is missing in every row."""
+    i = range(40)
+    dirty = pd.DataFrame({
+        "tid": [str(k) for k in i],
+        "key": [f"k{k % 4}" for k in i],
+        "val": [f"v{k % 4}" if k % 9 else f"v{k % 3}" for k in i],
+        "num": [float(k % 3) for k in i],
+        "empty": [None] * len(i),
+        "dep": [f"d{k % 2}" for k in i],
+    })
+    dirty.loc[[2, 7], "val"] = ""
+    dirty.loc[4, "val"] = None
+    dirty.loc[[1, 9], "num"] = float("nan")
+    dirty.loc[3, "key"] = None
+    bc = BClean("PI").fit(spark, dirty, network=BayesianNetwork.from_parents(
+        {a: [] for a in dirty.columns[1:]}))
+    # added after the fit: the edge filter would drop empty → dep
+    bc.apply_network_edits([("add", "key", "val"), ("add", "val", "num"),
+                            ("add", "empty", "dep")])
+    return dirty, bc
+
+
+@pytest.mark.parametrize("case", ["hospital", "flights", "missing"])
+def test_single_parent_tables_match_cpt_counts(spark, task, fitted, case):
+    """A single-parent node's CPT, child view and co-parent total, read
+    off the Algorithm-2 pair counts, equal the tables ``cpt_counts``
+    builds and a DuckDB GROUP BY; an all-missing parent gives empty
+    tables. Flights' fit carries its §7.3.2 edits (flight → times)."""
+    if case == "missing":
+        dirty, bc = _missing_cells_fit(spark)
+    else:
+        dirty, bc = task(case).dirty, fitted(case)
+    m = bc.model
+    data = normalize_missing(dirty)
+    single = {a: ps[0] for a, ps in m.parents.items() if len(ps) == 1}
+    assert single
+    pdfs = cpt_counts(spark.createDataFrame(data),
+                      [[p, a] for a, p in single.items()])
+    con = duckdb.connect()
+    con.register("t", data)
+    for (a, p), pdf in zip(single.items(), pdfs):
+        views, tots = build_child_views(pdf, a, [p], m.code)
+        assert _arrays(m.cpt[a]) == _arrays(
+            build_cpt_table(pdf, a, [p], m.code)), a
+        assert _arrays(m.childview[(a, p)]) == _arrays(views[p]), a
+        assert _arrays(m.childtot[(a, p)]) == _arrays(tots[p]), a
+        cpt, tot = m.cpt[a], m.childtot[(a, p)]
+        got = sorted(zip(m.vocab[p][np.repeat(cpt.keys, np.diff(cpt.start))],
+                         m.vocab[a][cpt.codes], cpt.vals[0]))
+        where = f"WHERE \"{p}\" <> '' AND \"{a}\" <> ''"
+        assert got == sorted(con.execute(
+            f'SELECT "{p}", "{a}", COUNT(*) FROM t {where} GROUP BY 1, 2'
+        ).fetchall()), a
+        assert tot.keys.tolist() == ([0] if len(cpt) else [])
+        assert sorted(zip(m.vocab[p][tot.codes], tot.vals[0])) == sorted(
+            con.execute(f'SELECT "{p}", COUNT(*) FROM t {where} GROUP BY 1'
+                        ).fetchall()), a
+    con.close()
+    if case == "missing":
+        assert not {"None", "nan"} & {v for a in m.attrs for v in m.vocab[a]}
+        assert single["dep"] == "empty"
+        assert len(m.cpt["dep"]) == 0 and m.cpt["dep"].dom == 2
+        assert len(m.childview[("dep", "empty")]) == 0
+        assert len(m.childtot[("dep", "empty")]) == 0
+
+
+def test_flights_edits_launch_no_spark_job(spark, flights_task):
+    """§7.3.2's flights edits leave every edited node one parent, so
+    re-estimating them reads the pair counts and launches no Spark job;
+    a second parent needs the one ``cpt_counts`` job."""
+    t = flights_task
+    bc = BClean("PI").fit(spark, t.dirty, ucs=t.ucs, bn_edits=[])
+    sc = spark.sparkContext
+
+    def jobs(edits, group):
+        sc.setJobGroup(group, group)
+        try:
+            affected = bc.apply_network_edits(edits)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        return affected, len(sc.statusTracker().getJobIdsForGroup(group))
+
+    affected, n = jobs(BN_EDITS["flights"], "flights-edits")
+    assert affected and all(bc.network.parents(a) == ["flight"]
+                            for a in affected)
+    assert n == 0
+    affected, n = jobs([("add", "sched_dep_time", "act_dep_time")],
+                       "second-parent")
+    assert affected == {"act_dep_time"} and n >= 1
 
 
 def _fd_cycle_frame() -> pd.DataFrame:

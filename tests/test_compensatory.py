@@ -61,13 +61,13 @@ def test_corr_counts_oracle_raw_counts(spark, frame, ucs):
         spark.createDataFrame(out[["attr_i", "attr_j", "c", "e", "cnt"]]),
         """
         WITH long AS (
-          SELECT tid, 'a' AS attr, a AS value FROM t WHERE a <> ''
-          UNION ALL SELECT tid, 'b', b FROM t WHERE b <> ''
-          UNION ALL SELECT tid, 'c', c FROM t WHERE c <> ''
+          SELECT tid, 0 AS pos, 'a' AS attr, a AS value FROM t WHERE a <> ''
+          UNION ALL SELECT tid, 1, 'b', b FROM t WHERE b <> ''
+          UNION ALL SELECT tid, 2, 'c', c FROM t WHERE c <> ''
         )
         SELECT l.attr AS attr_i, r.attr AS attr_j,
                l.value AS c, r.value AS e, COUNT(*)::BIGINT AS cnt
-        FROM long l JOIN long r ON l.tid = r.tid AND l.attr <> r.attr
+        FROM long l JOIN long r ON l.tid = r.tid AND l.pos < r.pos
         GROUP BY 1, 2, 3, 4
         """,
         t=frame,
@@ -89,13 +89,35 @@ def test_corr_counts_penalty_applied(spark, frame, ucs):
     assert row["w"].iloc[0] == pytest.approx(2.0)
 
 
-def test_corr_counts_symmetric_directions(spark, frame):
-    out = corr_counts(spark.createDataFrame(frame), ["a", "b", "c"], {})
-    fwd = out[(out["attr_i"] == "a") & (out["attr_j"] == "b")
-              & (out["c"] == "x") & (out["e"] == "p")]["cnt"].iloc[0]
-    rev = out[(out["attr_i"] == "b") & (out["attr_j"] == "a")
-              & (out["c"] == "p") & (out["e"] == "x")]["cnt"].iloc[0]
-    assert fwd == rev
+def test_corr_counts_one_row_set_per_unordered_pair(spark, frame, ucs):
+    """Each unordered pair is emitted once, ``attr_i`` first in
+    ``attrs`` order, and the index holds both orientations: table
+    (b, a) is table (a, b) transposed, weights and counts alike."""
+    attrs = ["c", "a", "b"]
+    out = corr_counts(spark.createDataFrame(frame), attrs, ucs)
+    pairs = out[["attr_i", "attr_j"]].drop_duplicates()
+    assert list(map(tuple, pairs.to_numpy())) == [
+        ("c", "a"), ("c", "b"), ("a", "b")]
+    assert not out.duplicated(["attr_i", "attr_j", "c", "e"]).any()
+    code = {"a": {"bad!": 0, "x": 1}, "b": {"p": 0, "q": 1},
+            "c": {"1": 0, "2": 1}}
+    idx = build_corr_index(out, code)
+    assert set(idx.tables) == {(x, y) for x in attrs for y in attrs
+                               if x != y}
+
+    def entries(x, y):   # {(code of x, code of y): (w, cnt)}
+        t = idx.tables[(x, y)]
+        return {(int(c), int(t.keys[r])): tuple(t.vals[:, s].tolist())
+                for r in range(len(t))
+                for s, c in zip(range(t.start[r], t.start[r + 1]),
+                                t.codes[t.start[r]:t.start[r + 1]])}
+    for x, y in [("c", "a"), ("c", "b"), ("a", "b")]:
+        fwd = entries(x, y)
+        assert fwd == {(e, c): v for (c, e), v in entries(y, x).items()}
+        assert idx.tables[(x, y)].dom == len(code[x])
+        assert idx.tables[(y, x)].dom == len(code[y])
+    assert entries("a", "b")[(0, 0)] == (-2.0, 1.0)   # (bad!, p), row 2
+    assert entries("b", "a")[(0, 1)] == (2.0, 2.0)    # (p, x), rows 0, 1
 
 
 def test_corr_counts_excludes_missing(spark, frame):

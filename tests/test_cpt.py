@@ -8,7 +8,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.compensatory import corr_counts
+from repro.core.compensatory import corr_counts, pair_majority
 from repro.core.cpt import cpt_counts, majority, value_counts
 from repro.core.model import normalize_missing
 from repro.oracle import assert_equivalent
@@ -176,8 +176,7 @@ def test_majority_of_corr_counts_matches_cpt_counts(spark, task, name):
     t = task(name)
     sdf = spark.createDataFrame(normalize_missing(t.dirty))
     attrs = t.attrs
-    major = majority(corr_counts(sdf, attrs, {}),
-                     ["attr_i", "attr_j", "e"], "c")
+    major = pair_majority(corr_counts(sdf, attrs, {}))
     by_pair = dict(iter(major.groupby(["attr_i", "attr_j"])))
     pairs = [(x, y) for x in attrs for y in attrs if x != y]
     for (x, y), pdf in zip(pairs, cpt_counts(sdf, pairs)):

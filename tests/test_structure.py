@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.cpt import majority
 from repro.core.similarity import string_similarity
-from repro.core.structure import (decompose_precision, edge_determinism,
-                                  learn_skeleton, similarity_observations)
+from repro.core.structure import (_pivot_pairs, decompose_precision,
+                                  edge_determinism, learn_skeleton,
+                                  similarity_observations)
 
 
 def _sem_obs(n=3000, seed=0):
@@ -115,6 +116,27 @@ def test_similarity_observations_shape(spark):
                   for q, r in zip(s, s[1:])]
         block = out.iloc[i * (n - 1):(i + 1) * (n - 1)].to_numpy()
         assert (block == np.array(expect)).all()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "equal", "above"])
+def test_similarity_observations_blocks_match_pivot_concat(spark, offset):
+    """With m pivots below, equal to and above the default parallelism,
+    the observations run in min(m, parallelism) tasks and equal the
+    driver-side concat of ``_pivot_pairs`` over the pivots in order."""
+    par = spark.sparkContext.defaultParallelism
+    m = max(1, par + offset)
+    g = np.random.default_rng(offset + 5)
+    n = 30
+    pdf = pd.DataFrame({"tid": np.arange(n).astype(str), **{
+        f"a{k}": [f"v{v}" for v in g.integers(0, 6, n)] for k in range(m)}})
+    attrs = list(pdf.columns[1:])
+    pdf[attrs[0]] = [str(v) for v in g.integers(0, 50, n)]
+    numeric = {attrs[0]}
+    obs = similarity_observations(spark.createDataFrame(pdf), attrs, numeric)
+    assert obs.rdd.getNumPartitions() == min(m, par)
+    want = pd.concat([_pivot_pairs(pdf, attrs, p, numeric) for p in attrs],
+                     ignore_index=True)
+    pd.testing.assert_frame_equal(obs.toPandas(), want)
 
 
 def test_similarity_observations_capture_fd(spark):
