@@ -21,7 +21,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.compensatory import corr_counts, pair_majority
-from repro.core.model import normalize_missing
+from repro.core.model import build_vocab, normalize_missing
 from repro.core.structure import edge_determinism
 from repro.datasets.registry import CleaningTask
 
@@ -35,9 +35,9 @@ class GarfLite:
     def run(self, spark: SparkSession, task: CleaningTask) -> pd.DataFrame:
         dirty = normalize_missing(task.dirty)
         attrs = task.attrs
-        sdf = spark.createDataFrame(dirty).cache()
-        corr_pdf = corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0)
-        sdf.unpersist()
+        vocab, _ = build_vocab(dirty, attrs)
+        corr_pdf = corr_counts(spark, dirty, attrs, {}, lam=0.0, beta=0.0,
+                               tau=0.0)
 
         # Rule discovery: single-determinant approximate FDs, each with
         # {X-value: (majority Y-value, its count, X-value count)}.
@@ -49,7 +49,8 @@ class GarfLite:
             if det >= _MIN_CONF and support >= _MIN_SUPPORT:
                 g = by_pair[(y, x)]
                 rules.append((x, y, dict(zip(
-                    g["e"], zip(g["c"], g["cnt"], g["total"])))))
+                    vocab[x][g["e"]],
+                    zip(vocab[y][g["c"]], g["cnt"], g["total"])))))
 
         cols = {a: dirty[a].to_numpy(object) for a in attrs}
         out_cols = {a: cols[a].copy() for a in attrs}

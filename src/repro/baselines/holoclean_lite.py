@@ -91,10 +91,10 @@ class HoloCleanLite:
             dc_major.append(dict(zip(zip(*(top[x] for x in lhs)),
                                      zip(top[rhs], top["cnt"], top["total"]))))
 
-        # Co-occurrence index (plain counts — no UCs in HoloClean).
-        corr = build_corr_index(
-            corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0), code)
         sdf.unpersist()
+        # Co-occurrence index (plain counts — no UCs in HoloClean).
+        corr = build_corr_index(corr_counts(
+            spark, dirty, attrs, {}, lam=0.0, beta=0.0, tau=0.0), code)
 
         cols = {a: dirty[a].to_numpy(object) for a in attrs}
         out_cols = {a: cols[a].copy() for a in attrs}

@@ -70,9 +70,10 @@ class RahaBaranLite:
         vc = value_counts(sdf, attrs)
         counts = {a: dict(zip(sub["value"], sub["cnt"]))
                   for a, sub in vc.groupby("attr")}
-        corr_pdf = corr_counts(sdf, attrs, {}, lam=0.0, beta=0.0, tau=0.0)
-        corr = build_corr_index(corr_pdf, code)
         sdf.unpersist()
+        corr_pdf = corr_counts(spark, dirty, attrs, {}, lam=0.0, beta=0.0,
+                               tau=0.0)
+        corr = build_corr_index(corr_pdf, code)
         # Mine approximate FDs from the dirty data (for D4 + corrector).
         major = pair_majority(corr_pdf)
         determinism = edge_determinism(major, attrs)
@@ -82,7 +83,8 @@ class RahaBaranLite:
                 fds[y].append(x)
         # (Y, X) -> {X-value: (majority Y-value, its share)}
         fd_major = {
-            (y, x): dict(zip(g["e"], zip(g["c"], g["cnt"] / g["total"])))
+            (y, x): dict(zip(vocab[x][g["e"]],
+                             zip(vocab[y][g["c"]], g["cnt"] / g["total"])))
             for (y, x), g in major.groupby(["attr_i", "attr_j"], sort=False)
             if x in fds[y]}
 

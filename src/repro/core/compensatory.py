@@ -1,20 +1,22 @@
 """Compensatory scoring model (paper §5, Algorithm 2).
 
-Two distributed computations over the dirty DataFrame:
+One statistics pass over the table (§3), over int32 value codes:
 
-* ``tuple_confidence`` — Eq. 3: per-tuple confidence from UC checks,
-  ``conf(T) = max(0, (#satisfied − λ·#violated) / m)``, evaluated as a
-  vectorized pandas kernel per attribute inside ``mapInPandas``.
-* ``corr_counts`` — Algorithm 2: for every ordered attribute pair
-  (A_i, A_j) and value pair (c, e) co-occurring in some tuple,
-  accumulate ``+1`` per confident tuple (conf ≥ τ) and ``−β`` per
-  unconfident one, plus the raw co-occurrence count used by the pruning
-  strategies (§6.2). The confidence pass keeps the attribute columns and
-  adds each tuple's weight, and one grouping-sets aggregation
-  (``cpt.cpt_counts``) counts all m(m−1)/2 unordered attribute pairs,
-  so the O(n·m²) pair expansion runs in Spark, matching the paper's
-  complexity analysis, with no melt and no join on tid. ``w`` and the
-  count are symmetric, so each unordered pair is emitted once.
+* ``tuple_confidence`` — Eq. 3 on the driver: per-tuple confidence from
+  UC checks, ``conf(T) = max(0, (#satisfied − λ·#violated) / m)``. A UC
+  is evaluated once per vocabulary value (``uc_verdicts``, and once on
+  the missing value ``""``), never per cell: a cell's verdict is read
+  off its value code (``encode``).
+* ``corr_counts`` — Algorithm 2: for every attribute pair (A_i, A_j)
+  and value pair (c, e) co-occurring in some tuple, the summed weight
+  ``w`` and the raw co-occurrence count used by the pruning strategies
+  (§6.2). The driver encodes each attribute by ``model.build_vocab``'s
+  rule, ships the m code columns and the weights to Spark in one
+  ``createDataFrame``, and one job explodes every tuple into its
+  m(m−1)/2 unordered code pairs and counts them, so the O(n·m²) pair
+  expansion runs in Spark, matching the paper's complexity analysis,
+  and only integers are grouped and collected. ``w`` and the count are
+  symmetric, so each unordered pair is emitted once.
 
 ``Score_corr`` itself (Eq. 2) is evaluated at inference time from the
 driver-assembled index (``build_corr_index``): for each ordered pair
@@ -29,51 +31,58 @@ pair.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, functions as F
-from pyspark.sql.types import DoubleType, StringType, StructField, StructType
+from pyspark.sql import SparkSession, functions as F
+from pyspark.sql.types import DoubleType, IntegerType, StructField, StructType
 
 from .constraints import UC, uc_mask
-from .cpt import cpt_counts, majority
-from .model import SparseTable, value_codes
+from .cpt import majority
+from .model import SparseTable, build_vocab, value_codes
 
-__all__ = ["tuple_confidence", "corr_counts", "pair_majority",
-           "build_corr_index", "CorrIndex"]
+__all__ = ["encode", "uc_verdicts", "tuple_confidence", "corr_counts",
+           "pair_majority", "build_corr_index", "CorrIndex"]
 
 
-def tuple_confidence(
-    df: DataFrame,
-    attrs: Sequence[str],
-    ucs: dict[str, UC],
-    *,
-    lam: float = 1.0,
-) -> DataFrame:
-    """Eq. 3 — returns (tid, *attrs, conf) with conf ∈ [0, 1]; the
-    attribute columns ride along for ``corr_counts``' aggregation."""
-    attrs = list(attrs)
-    m = len(attrs)
-    schema = StructType([
-        StructField("tid", StringType()),
-        *[df.schema[a] for a in attrs],
-        StructField("conf", DoubleType()),
-    ])
+def encode(dirty: pd.DataFrame, attrs: Sequence[str]):
+    """``model.build_vocab(dirty, attrs)``'s vocabularies and the
+    rows × m int32 matrix of value codes, -1 for a missing cell."""
+    vocab, code = build_vocab(dirty, attrs)
+    codes = np.empty((len(dirty), len(attrs)), dtype=np.int32)
+    for k, a in enumerate(attrs):
+        codes[:, k] = value_codes(dirty[a], code[a])
+    return vocab, codes
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            ok = np.zeros(len(pdf), dtype="int64")
-            for a in attrs:
-                ok += uc_mask(ucs, a, pdf[a]).astype("int64")
-            conf = np.maximum(0.0, (ok - lam * (m - ok)) / m)
-            yield pdf.assign(tid=pdf["tid"].astype(str), conf=conf)
 
-    return df.select("tid", *attrs).mapInPandas(kernel, schema=schema)
+def uc_verdicts(ucs: dict[str, UC], attr: str,
+                vocab: np.ndarray) -> np.ndarray:
+    """The UC verdict on each value of ``attr``'s vocabulary, then on the
+    missing value ``""``: indexed by a value code, with code -1 (missing)
+    reading the last entry."""
+    return uc_mask(ucs, attr, pd.Series([*vocab, ""], dtype="object"))
+
+
+def tuple_confidence(codes: np.ndarray, verdicts: Sequence[np.ndarray], *,
+                     lam: float) -> np.ndarray:
+    """Eq. 3 — the confidence in [0, 1] of each row of ``codes`` (rows × m
+    value codes, -1 for missing), where ``verdicts[k]`` is
+    ``uc_verdicts`` of column k."""
+    n, m = codes.shape
+    ok = np.zeros(n, dtype="int64")
+    for k, verdict in enumerate(verdicts):
+        ok += verdict[codes[:, k]]
+    return np.maximum(0.0, (ok - lam * (m - ok)) / m)
+
+
+_CORR_COLUMNS = [("c", np.int64), ("e", np.int64), ("w", np.float64),
+                ("cnt", np.int64)]
 
 
 def corr_counts(
-    df: DataFrame,
+    spark: SparkSession,
+    dirty: pd.DataFrame,
     attrs: Sequence[str],
     ucs: dict[str, UC],
     *,
@@ -81,32 +90,50 @@ def corr_counts(
     beta: float = 2.0,
     tau: float = 0.5,
 ) -> pd.DataFrame:
-    """Algorithm 2 — returns pandas (attr_i, attr_j, c, e, w, cnt).
+    """Algorithm 2 over the normalized frame ``dirty`` — returns pandas
+    (attr_i, attr_j, c, e, w, cnt), with ``c`` and ``e`` the int64 value
+    codes of ``model.build_vocab(dirty, attrs)``.
 
     ``w`` is Σ_T (1[conf≥τ] − β·1[conf<τ]) over tuples containing the
     value pair; ``cnt`` is the raw co-occurrence count. Missing values
-    do not form pairs. Each unordered attribute pair is aggregated once,
-    in one ``cpt.cpt_counts`` job, and emitted once, with ``attr_i``
-    before ``attr_j`` in ``attrs`` order: ``w`` and ``cnt`` are
-    symmetric, so the rows of (attr_j, attr_i) are the same rows with
-    ``c`` and ``e`` swapped.
+    do not form pairs. Each unordered attribute pair is emitted once,
+    with ``attr_i`` before ``attr_j`` in ``attrs`` order: ``w`` and
+    ``cnt`` are symmetric, so the rows of (attr_j, attr_i) are the same
+    rows with ``c`` and ``e`` swapped. Rows are ordered by pair, then
+    ``c``, then ``e``.
     """
-    # positional column names, so that no attribute name (say 'w' or
-    # 'conf') can clash with the columns the aggregation adds
-    name = {f"_{k}": a for k, a in enumerate(attrs)}
-    pos = list(name)
-    weighted = tuple_confidence(
-        df.select("tid", *[F.col(a).alias(p) for p, a in name.items()]),
-        pos, {p: ucs[a] for p, a in name.items() if a in ucs}, lam=lam,
-    ).withColumn("w", F.when(F.col("conf") >= tau, 1.0).otherwise(-beta))
-    pairs = list(combinations(pos, 2))
-    parts = [pd.DataFrame({"attr_i": name[a], "attr_j": name[b], "c": p[a],
-                           "e": p[b], "w": p["w"], "cnt": p["cnt"]})
-             for (a, b), p in zip(pairs, cpt_counts(weighted, pairs,
-                                                    weight="w"))]
-    if not parts:
-        return pd.DataFrame(columns=["attr_i", "attr_j", "c", "e", "w", "cnt"])
-    return pd.concat(parts, ignore_index=True)
+    attrs = list(attrs)
+    pairs = list(combinations(range(len(attrs)), 2))
+    out = pd.DataFrame({k: [] for k in ["p", "c", "e", "cnt", "w"]})
+    if pairs:
+        vocab, codes = encode(dirty, attrs)
+        conf = tuple_confidence(
+            codes, [uc_verdicts(ucs, a, vocab[a]) for a in attrs], lam=lam)
+        w = np.where(conf >= tau, 1.0, -beta)
+        # positional column names: no attribute name can clash with 'w';
+        # a missing cell ships as code -1, not NULL, which createDataFrame
+        # rejects in an integer column when Arrow is off
+        cols = {f"_{k}": codes[:, k] for k in range(len(attrs))}
+        sdf = spark.createDataFrame(
+            pd.DataFrame({**cols, "w": w}),
+            StructType([*(StructField(k, IntegerType(), False) for k in cols),
+                        StructField("w", DoubleType(), False)]))
+        # one SQL expression: a Column per pair would cost ~8 py4j calls
+        each = ", ".join(f"struct({k} AS p, _{i} AS c, _{j} AS e)"
+                         for k, (i, j) in enumerate(pairs))
+        out = (sdf.selectExpr(f"inline(array({each}))", "w")
+               .where("c >= 0 AND e >= 0")
+               .groupBy("p", "c", "e")
+               .agg(F.count(F.lit(1)).alias("cnt"), F.sum("w").alias("w"))
+               .toPandas())
+    order = np.lexsort([out[k].to_numpy() for k in ["e", "c", "p"]])
+    p = out["p"].to_numpy(dtype=np.int64)[order]
+    first, second = (np.array([attrs[pr[k]] for pr in pairs], dtype=object)
+                     for k in (0, 1))
+    return pd.DataFrame({
+        "attr_i": first[p], "attr_j": second[p],
+        **{k: out[k].to_numpy(dtype=t)[order] for k, t in _CORR_COLUMNS}},
+        copy=False)
 
 
 _SWAP = {"attr_i": "attr_j", "attr_j": "attr_i", "c": "e", "e": "c"}
@@ -117,9 +144,9 @@ def pair_majority(corr_pdf: pd.DataFrame) -> pd.DataFrame:
     ``corr_counts``' output, in both orientations of each unordered
     pair: ``cpt.majority`` over ``[attr_i, attr_j, e]``, as
     ``[attr_i, attr_j, e, c, cnt, total]``: the forward orientation's
-    rows, then the reverse one's. A tie at the maximum goes to the value
-    that comes first in ``corr_counts``' row order, in either
-    orientation. Each orientation is read off ``corr_pdf`` in place, so
+    rows, then the reverse one's. A tie at the maximum goes to the
+    smaller code, in either orientation, as ``corr_counts`` orders its
+    rows by code. Each orientation is read off ``corr_pdf`` in place, so
     no reversed copy of it is made."""
     fwd = majority(corr_pdf, ["attr_i", "attr_j", "e"], "c")
     rev = majority(corr_pdf, ["attr_j", "attr_i", "c"], "e")
@@ -183,11 +210,12 @@ def build_corr_index(
     vocab_code: dict[str, dict[str, int]],
 ) -> CorrIndex:
     """Group the Algorithm-2 output into one table per ordered attribute
-    pair: the rows of each unordered pair give both of its tables."""
+    pair: the rows of each unordered pair give both of its tables, over
+    the domains of ``vocab_code``. A row with a negative code is
+    dropped."""
     tables = {}
     for (ai, aj), grp in corr_pdf.groupby(["attr_i", "attr_j"], sort=False):
-        c = value_codes(grp["c"], vocab_code[ai])
-        e = value_codes(grp["e"], vocab_code[aj])
+        c, e = grp["c"], grp["e"]
         vals = [grp["w"], grp["cnt"]]
         tables[(ai, aj)] = SparseTable(e, c, vals, len(vocab_code[ai]))
         tables[(aj, ai)] = SparseTable(c, e, vals, len(vocab_code[aj]))

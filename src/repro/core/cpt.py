@@ -7,20 +7,20 @@ node's CPT when the node value or any parent value is missing, and
 probabilities are Laplace-smoothed at lookup time (``inference.py``),
 not here — this module only materializes counts.
 
-``cpt_counts`` is the one aggregation behind every statistic (§3's
-"statistics collection"): it counts the value combinations of a list of
-column families in a single ``GROUPING SETS`` job (the data-cube
-operator of Gray et al., ICDE 1996) and splits the result on the driver
-by ``grouping_id()``. A group with a missing key is dropped after the
-aggregation, which equals filtering the rows before it because the
-filter reads only the family's own columns. It runs once over every
-``[*parents, node]`` family with two or more parents (a single-parent
-CPT is read off the Algorithm-2 pair counts), ``value_counts`` (the
-model's only marginal) runs it over the singleton families,
-``compensatory.corr_counts`` over the attribute pairs, and the
-HoloClean baseline over its DCs. ``majority`` reads a count frame as
-the majority consequent of X → Y per X-value, the FD statistic behind
-the edge filter and the rule-based baselines.
+``cpt_counts`` is the aggregation behind every statistic over the
+string frame (§3's "statistics collection"): it counts the value
+combinations of a list of column families in a single ``GROUPING SETS``
+job (the data-cube operator of Gray et al., ICDE 1996) and splits the
+result on the driver by ``grouping_id()``. A group with a missing key
+is dropped after the aggregation, which equals filtering the rows
+before it because the filter reads only the family's own columns. It
+runs once over every ``[*parents, node]`` family with two or more
+parents (a single-parent CPT is read off the Algorithm-2 pair counts,
+which ``compensatory.corr_counts`` counts over int32 value codes),
+``value_counts`` (the model's only marginal) runs it over the singleton
+families, and the HoloClean baseline over its DCs. ``majority`` reads a
+count frame as the majority consequent of X → Y per X-value, the FD
+statistic behind the edge filter and the rule-based baselines.
 
 The outputs are model-sized *pandas* DataFrames, oracle-checked against
 DuckDB SQL in ``tests/test_cpt.py``.
@@ -35,15 +35,14 @@ from pyspark.sql import DataFrame, functions as F
 __all__ = ["cpt_counts", "value_counts", "majority"]
 
 
-def cpt_counts(df: DataFrame, families: Sequence[Sequence[str]],
-               weight: str | None = None) -> list[pd.DataFrame]:
-    """Row count (and the sum of column ``weight``) of every value
-    combination with no missing value of each family of columns, such
-    as ``[*parents, node]``, in one Spark job.
+def cpt_counts(df: DataFrame,
+               families: Sequence[Sequence[str]]) -> list[pd.DataFrame]:
+    """Row count of every value combination with no missing value of
+    each family of columns, such as ``[*parents, node]``, in one Spark
+    job.
 
-    Returns one frame ``[*family, cnt]`` (``[*family, cnt, w]`` with
-    ``weight``) per family, in order. Families over the same column set
-    share one grouping set.
+    Returns one frame ``[*family, cnt]`` per family, in order. Families
+    over the same column set share one grouping set.
     """
     families = [list(f) for f in families]
     if not families:
@@ -53,15 +52,12 @@ def cpt_counts(df: DataFrame, families: Sequence[Sequence[str]],
     # grouping_id() sets bit (n-1-i) when cols[i] is not grouped
     gid = {s: sum(1 << (len(cols) - 1 - i) for i, c in enumerate(cols)
                   if c not in s) for s in sets}
-    aggs = [F.count(F.lit(1)).alias("cnt")]
-    if weight is not None:
-        aggs.append(F.sum(weight).alias("w"))
-    stats = ["cnt", "w"][:len(aggs)]
     out = (df.groupingSets([[c for c in cols if c in s] for s in sets], *cols)
-           .agg(F.grouping_id().alias("_gid"), *aggs).toPandas())
+           .agg(F.grouping_id().alias("_gid"), F.count(F.lit(1)).alias("cnt"))
+           .toPandas())
     res = []
     for f in families:
-        sub = out.loc[out["_gid"] == gid[frozenset(f)], [*f, *stats]]
+        sub = out.loc[out["_gid"] == gid[frozenset(f)], [*f, "cnt"]]
         keep = (sub[f].notna() & (sub[f] != "")).all(axis=1)
         res.append(sub[keep].reset_index(drop=True))
     return res
@@ -86,7 +82,7 @@ def majority(counts: pd.DataFrame, keys: Sequence[str],
     first in ``counts``."""
     keys = list(keys)
     groups = counts.groupby(keys, sort=False)["cnt"]
-    top = counts.assign(total=groups.transform("sum"))[
-        counts["cnt"] == groups.transform("max")]
-    return top.drop_duplicates(keys)[[*keys, value, "cnt", "total"]
-                                     ].reset_index(drop=True)
+    top = counts["cnt"] == groups.transform("max")
+    return (counts.loc[top, [*keys, value, "cnt"]]
+            .assign(total=groups.transform("sum")[top])
+            .drop_duplicates(keys).reset_index(drop=True))

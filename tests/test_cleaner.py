@@ -285,6 +285,18 @@ def test_fit_rejects_duplicate_tids(spark):
         BClean("PI").fit(spark, dirty)
 
 
+def test_fit_orders_integer_tids_beyond_int64(spark):
+    """Integer tids sort as integers at any size: clean() returns the
+    rows in the order 2, 10, 99999999999999999999."""
+    dirty = pd.DataFrame({"tid": ["99999999999999999999", "10", "2"],
+                          "a": ["x", "y", "z"], "b": ["u", "v", "w"]})
+    bc = BClean("PI").fit(spark, dirty, network=BayesianNetwork.from_parents(
+        {"a": [], "b": []}))
+    out = bc.clean()
+    assert out["tid"].tolist() == ["2", "10", "99999999999999999999"]
+    assert out["a"].tolist() == ["z", "y", "x"]
+
+
 def test_fit_treats_none_and_nan_as_missing(spark):
     """Real None/NaN cells are missing values, exactly like "" cells: no
     'None'/'nan' candidates, and the same repairs."""

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.compensatory import corr_counts, pair_majority
 from repro.core.cpt import cpt_counts, majority, value_counts
-from repro.core.model import normalize_missing
+from repro.core.model import build_vocab, normalize_missing
 from repro.oracle import assert_equivalent
 
 
@@ -92,12 +92,11 @@ def test_value_counts_covers_every_attr(sframe):
 
 @pytest.fixture(scope="module")
 def mixed(frame):
-    """``frame`` plus a fourth key column ``d``, a weight ``w``, real
-    NULLs next to ``""`` keys, and a column ``z`` with no value at all."""
+    """``frame`` plus a fourth key column ``d``, real NULLs next to
+    ``""`` keys, and a column ``z`` with no value at all."""
     g = np.random.default_rng(1)
     pdf = frame.copy()
     pdf["d"] = [f"d{v}" for v in g.integers(0, 3, len(pdf))]
-    pdf["w"] = g.choice([1.0, -2.0], len(pdf))
     pdf["z"] = [None, ""] * (len(pdf) // 2)
     pdf.loc[[3, 11], "a"] = None
     pdf.loc[4, "d"] = None
@@ -105,11 +104,10 @@ def mixed(frame):
     return pdf
 
 
-def _family_sql(fam, weight=False):
+def _family_sql(fam):
     cols = ", ".join(fam)
     where = " AND ".join(f"COALESCE({c}, '') <> ''" for c in fam)
-    w = ", SUM(w) AS w" if weight else ""
-    return (f"SELECT {cols}, COUNT(*)::BIGINT AS cnt{w} FROM t "
+    return (f"SELECT {cols}, COUNT(*)::BIGINT AS cnt FROM t "
             f"WHERE {where} GROUP BY {cols}")
 
 
@@ -128,17 +126,6 @@ def test_cpt_counts_families_oracle(spark, mixed):
                           t=mixed)
     assert list(outs[-1].columns) == ["d", "z", "cnt"]
     assert outs[-1].empty
-
-
-def test_cpt_counts_weighted_pair_oracle(spark, mixed):
-    """A corr pair family with its summed weight, as corr_counts runs
-    it, next to the same pair reversed."""
-    outs = cpt_counts(spark.createDataFrame(mixed),
-                      [["a", "d"], ["d", "a"]], weight="w")
-    for fam, out in zip([["a", "d"], ["d", "a"]], outs):
-        assert list(out.columns) == [*fam, "cnt", "w"]
-        assert_equivalent(spark.createDataFrame(out),
-                          _family_sql(fam, weight=True), t=mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +161,13 @@ def test_majority_of_corr_counts_matches_cpt_counts(spark, task, name):
     every group, and the same value wherever it is a strict majority
     (below that, a tie may break either way)."""
     t = task(name)
-    sdf = spark.createDataFrame(normalize_missing(t.dirty))
+    dirty = normalize_missing(t.dirty)
+    sdf = spark.createDataFrame(dirty)
     attrs = t.attrs
-    major = pair_majority(corr_counts(sdf, attrs, {}))
+    vocab, _ = build_vocab(dirty, attrs)
+    major = pair_majority(corr_counts(spark, dirty, attrs, {}))
+    major["e"] = [vocab[x][k] for x, k in zip(major["attr_j"], major["e"])]
+    major["c"] = [vocab[y][k] for y, k in zip(major["attr_i"], major["c"])]
     by_pair = dict(iter(major.groupby(["attr_i", "attr_j"])))
     pairs = [(x, y) for x in attrs for y in attrs if x != y]
     for (x, y), pdf in zip(pairs, cpt_counts(sdf, pairs)):

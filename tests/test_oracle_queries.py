@@ -1,10 +1,15 @@
 """Extra DuckDB-oracle checks over the synthetic datasets: the Spark
 statistics the cleaner consumes agree with plain SQL over the same
 input, on real (generated) data rather than toy frames."""
+import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core.compensatory import corr_counts, tuple_confidence
+from repro.core.compensatory import (corr_counts, encode, tuple_confidence,
+                                     uc_verdicts)
+from repro.core.constraints import uc_mask
 from repro.core.cpt import cpt_counts, value_counts
+from repro.core.model import normalize_missing
 from repro.oracle import assert_equivalent
 
 
@@ -59,26 +64,35 @@ def test_hospital_value_counts_oracle(spark, hosp, hospital_task):
     )
 
 
-def test_hospital_corr_pair_counts_oracle(spark, hosp, hospital_task):
-    out = corr_counts(hosp, ["City", "State", "ZipCode"], {})
+def test_hospital_corr_pair_counts_oracle(spark, hospital_task):
+    attrs = ["City", "State", "ZipCode"]
+    dirty = normalize_missing(hospital_task.dirty)
+    out = corr_counts(spark, dirty, attrs, {})
     sub = out[(out["attr_i"] == "City") & (out["attr_j"] == "State")]
+    vocab, _ = encode(dirty, attrs)
     assert_equivalent(
-        spark.createDataFrame(
-            sub[["c", "e", "cnt"]].rename(columns={"c": "city",
-                                                   "e": "state"})),
+        spark.createDataFrame(pd.DataFrame({
+            "city": vocab["City"][sub["c"]], "state": vocab["State"][sub["e"]],
+            "cnt": sub["cnt"]})),
         "SELECT City AS city, State AS state, COUNT(*)::BIGINT AS cnt "
         "FROM t WHERE City <> '' AND State <> '' GROUP BY City, State",
         t=hospital_task.dirty,
     )
 
 
-def test_confidence_count_consistency(spark, hosp, hospital_task):
+def test_confidence_count_consistency(hospital_task):
+    """Eq. 3 over the vocabulary equals ``uc_mask`` on every cell of the
+    hospital data, and every fully-clean tuple has confidence 1."""
     t = hospital_task
-    conf = tuple_confidence(hosp, t.attrs, t.ucs, lam=1.0).toPandas()
-    assert len(conf) == len(t.dirty)
-    assert conf["conf"].between(0, 1).all()
+    m = len(t.attrs)
+    vocab, codes = encode(normalize_missing(t.dirty), t.attrs)
+    conf = tuple_confidence(
+        codes, [uc_verdicts(t.ucs, a, vocab[a]) for a in t.attrs], lam=1.0)
+    ok = sum(uc_mask(t.ucs, a, t.dirty[a]).astype("int64") for a in t.attrs)
+    assert conf.tolist() == np.maximum(0.0, (ok - (m - ok)) / m).tolist()
+    assert ((conf >= 0) & (conf <= 1)).all()
     # every fully-clean tuple must have confidence 1 under the UCs
     clean_rows = (t.dirty.set_index("tid")[t.attrs]
                   == t.clean.set_index("tid")[t.attrs]).all(axis=1)
-    ok = conf.set_index("tid")["conf"][clean_rows[clean_rows].index]
-    assert (ok == 1.0).all()
+    assert clean_rows.any()
+    assert (conf[clean_rows.to_numpy()] == 1.0).all()
