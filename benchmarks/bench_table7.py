@@ -29,6 +29,6 @@ def test_bench_inference_variant(benchmark, spark, fitted, variant):
     p = dataclasses.replace(fitted.params, variant=variant)
     out = benchmark.pedantic(
         lambda: apply_repairs(fitted._dirty, run_inference(
-            spark, fitted._dirty_sdf, fitted.model, p), fitted.model.vocab),
+            spark, fitted._codes, fitted.model, p), fitted.model.vocab),
         rounds=2, iterations=1)
     assert len(out) == fitted.model.n_rows

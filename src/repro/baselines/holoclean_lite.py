@@ -9,8 +9,9 @@ flag. The lite version keeps the same pipeline shape:
   from schema knowledge, like their experts did).
 * detection — a cell is noisy if it is NULL or if it is the dependent
   side of a violated DC (its value disagrees with the majority
-  consequent of its determinant group: ``cpt.majority`` over one
-  ``cpt.cpt_counts`` job, as a DC may have several determinants).
+  consequent of its determinant group: ``cpt.majority`` over
+  ``cpt.cpt_counts`` of the DC's columns, as a DC may have several
+  determinants).
 * repair — for detected cells only, candidates are scored by a fixed
   log-linear combination of (a) DC-majority agreement, (b) co-occurrence
   with the rest of the tuple, and (c) minimality (edit proximity to the
@@ -27,7 +28,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.compensatory import build_corr_index, corr_counts
 from repro.core.cpt import cpt_counts, majority
-from repro.core.model import build_vocab, normalize_missing
+from repro.core.model import build_vocab, encode_frame, normalize_missing
 from repro.core.similarity import string_similarity
 from repro.datasets.registry import CleaningTask
 
@@ -78,20 +79,20 @@ class HoloCleanLite:
         dirty = normalize_missing(task.dirty)
         attrs = task.attrs
         dcs = DCS.get(task.name, [])
-        sdf = spark.createDataFrame(dirty).cache()
         vocab, code = build_vocab(dirty, attrs)
         n = len(dirty)
 
-        # Majority consequent per determinant group, per DC (Spark):
+        # Majority consequent per determinant group, per DC:
         # {determinant values: (majority, its count, group count)}.
         dc_major: list[dict[tuple, tuple[str, int, int]]] = []
-        pdfs = cpt_counts(sdf, [[*lhs, rhs] for lhs, rhs in dcs])
+        pdfs = cpt_counts(encode_frame(dirty, code),
+                          [[*lhs, rhs] for lhs, rhs in dcs])
         for (lhs, rhs), pdf in zip(dcs, pdfs):
             top = majority(pdf, lhs, rhs)
-            dc_major.append(dict(zip(zip(*(top[x] for x in lhs)),
-                                     zip(top[rhs], top["cnt"], top["total"]))))
+            dc_major.append(dict(zip(
+                zip(*(vocab[x][top[x]] for x in lhs)),
+                zip(vocab[rhs][top[rhs]], top["cnt"], top["total"]))))
 
-        sdf.unpersist()
         # Co-occurrence index (plain counts — no UCs in HoloClean).
         corr = build_corr_index(corr_counts(
             spark, dirty, attrs, {}, lam=0.0, beta=0.0, tau=0.0), code)

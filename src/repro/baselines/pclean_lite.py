@@ -26,8 +26,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.cpt import cpt_counts, value_counts
-from repro.core.model import (build_counts, build_cpt_table, build_vocab,
-                              config_keys, normalize_missing, value_codes)
+from repro.core.model import (build_cpt_table, build_vocab, config_keys,
+                              normalize_missing)
 from repro.core.similarity import edit_distance
 from repro.datasets.registry import CleaningTask
 
@@ -86,16 +86,13 @@ class PCleanLite:
         dirty = normalize_missing(task.dirty)
         attrs = task.attrs
         program = PROGRAMS.get(task.name, {})
-        sdf = spark.createDataFrame(dirty).cache()
         vocab, code = build_vocab(dirty, attrs)
-        counts = build_counts(value_counts(sdf, attrs), code)
+        coded, counts = value_counts(dirty, code)
         pars = {a: program[a] for a in attrs if program.get(a)}
-        pdfs = cpt_counts(sdf, [[*ps, a] for a, ps in pars.items()])
+        pdfs = cpt_counts(coded, [[*ps, a] for a, ps in pars.items()])
         cpt = {a: build_cpt_table(pdf, a, pars[a], code)
                for a, pdf in zip(pars, pdfs)}
         cols = {a: dirty[a].to_numpy(object) for a in attrs}
-        coded = pd.DataFrame({a: value_codes(dirty[a], code[a])
-                              for a in attrs})
         # each tuple's CPT row per attribute with parents; -1 for none
         rows = {a: cpt[a].find(config_keys(coded, ps, code))
                 for a, ps in pars.items()}
@@ -130,7 +127,6 @@ class PCleanLite:
                     best_c = obs
                 if best_c != obs:
                     out_cols[a][i] = best_c
-        sdf.unpersist()
         out = pd.DataFrame(out_cols)
         out.insert(0, "tid", dirty["tid"].to_numpy())
         return out

@@ -63,14 +63,11 @@ class RahaBaranLite:
         n = len(dirty)
         rng = np.random.default_rng(seed)
         labeled = rng.choice(n, size=min(_N_LABELS, n), replace=False)
-        sdf = spark.createDataFrame(dirty).cache()
         vocab, code = build_vocab(dirty, attrs)
 
-        # --- statistics (Spark) ---------------------------------------
-        vc = value_counts(sdf, attrs)
-        counts = {a: dict(zip(sub["value"], sub["cnt"]))
-                  for a, sub in vc.groupby("attr")}
-        sdf.unpersist()
+        # --- statistics -----------------------------------------------
+        _, marginals = value_counts(dirty, code)
+        counts = {a: dict(zip(vocab[a], marginals[a])) for a in attrs}
         corr_pdf = corr_counts(spark, dirty, attrs, {}, lam=0.0, beta=0.0,
                                tau=0.0)
         corr = build_corr_index(corr_pdf, code)
@@ -82,11 +79,13 @@ class RahaBaranLite:
             if det >= 0.8 and support >= 3:
                 fds[y].append(x)
         # (Y, X) -> {X-value: (majority Y-value, its share)}
-        fd_major = {
-            (y, x): dict(zip(vocab[x][g["e"]],
-                             zip(vocab[y][g["c"]], g["cnt"] / g["total"])))
-            for (y, x), g in major.groupby(["attr_i", "attr_j"], sort=False)
-            if x in fds[y]}
+        fd_major = {}
+        for _, g in major.groupby("pair", sort=False):
+            y, x = g["attr_i"].iat[0], g["attr_j"].iat[0]
+            if x in fds[y]:
+                fd_major[(y, x)] = dict(zip(
+                    vocab[x][g["e"]],
+                    zip(vocab[y][g["c"]], g["cnt"] / g["total"])))
 
         cols = {a: dirty[a].to_numpy(object) for a in attrs}
         clean_cols = {a: clean[a].to_numpy(object) for a in attrs}

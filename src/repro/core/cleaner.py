@@ -10,10 +10,13 @@ Usage::
 Construction stage: FDX-style structure learning over Spark-built
 similarity observations (§4), optional user edits on the learned
 network (add/remove edge — §4/§7.3.2), CPT estimation and the
-compensatory-score statistics (Algorithm 2) via Spark aggregations.
+compensatory-score statistics (Algorithm 2). The table stays on the
+driver as one int32 code matrix; the O(n·m) counts are read off it with
+numpy, and only Algorithm 2's O(n·m²) pair expansion is a Spark job.
 
-Inference stage: Algorithm 1 distributed with ``mapInPandas``
-(``inference.py``), in one of the paper's variants:
+Inference stage: Algorithm 1 distributed with ``mapInPandas`` over the
+broadcast code matrix (``inference.py``), in one of the paper's
+variants:
 
 * ``variant="base"``  — BClean (unoptimized full-network inference)
 * ``variant="PI"``    — BClean_PI (partitioned inference)
@@ -24,19 +27,19 @@ from __future__ import annotations
 
 from copy import deepcopy
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession, functions as F
+from pyspark.sql import SparkSession
 
 from .compensatory import build_corr_index, corr_counts, pair_majority
 from .constraints import UC, uc_mask
 from .cpt import cpt_counts, value_counts
 from .inference import InferenceParams, apply_repairs, run_inference
 from .model import (FittedModel, SparseTable, build_child_views,
-                    build_counts, build_cpt_table, build_vocab,
-                    normalize_missing)
+                    build_cpt_table, build_vocab, normalize_missing)
 from .network import BayesianNetwork, CycleError
 from .structure import (edge_determinism, learn_skeleton,
-                        similarity_observations)
+                        similarity_observations, structure_sample)
 
 __all__ = ["BClean"]
 
@@ -69,7 +72,9 @@ class BClean:
         self.network: BayesianNetwork | None = None
         self._spark: SparkSession | None = None
         self._dirty: pd.DataFrame | None = None
-        self._dirty_sdf = None
+        # the int32 code of every cell of _dirty, indexed by tid
+        # (model.encode_frame)
+        self._codes: pd.DataFrame | None = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -94,22 +99,14 @@ class BClean:
         if not self.params.use_ucs:
             ucs = {}
         attrs = [c for c in dirty.columns if c != "tid"]
-        # clean()'s row order: by tid, as integers if every tid is one
-        # (Python ints: exact at any size)
-        numeric = dirty["tid"].str.fullmatch(r"[+-]?\d+").all()
-        self._dirty = dirty[["tid", *attrs]].sort_values(
-            "tid", key=(lambda s: s.map(int)) if numeric else None,
-            kind="stable", ignore_index=True)
+        self._dirty = _sorted_by_tid(dirty[["tid", *attrs]])
         self._spark = spark
-        sdf = spark.createDataFrame(dirty).cache()
-        self._dirty_sdf = sdf
 
         # --- structure learning (§4), unless a network is supplied ----
         if network is None:
-            # the struct_sample rows with the smallest hash of tid: the
-            # same sample for the same data, whatever its row order
-            sample = sdf.orderBy(F.xxhash64("tid"), "tid").limit(
-                self.struct_sample)
+            # the same sample for the same data, whatever its row order
+            sample = structure_sample(spark, dirty, attrs,
+                                      self.struct_sample)
             obs = similarity_observations(
                 sample, attrs, numeric_attrs).toPandas().to_numpy()
             parents, _, _ = learn_skeleton(obs, attrs)
@@ -153,12 +150,12 @@ class BClean:
         # here because perfbench/tracing.py ends its edge-filter span at
         # fit's first build_vocab call
         vocab, code = build_vocab(dirty, attrs)
-        self._assemble(sdf, dirty, attrs, vocab, code, ucs, corr_pdf)
+        self._assemble(attrs, vocab, code, ucs, corr_pdf)
         return self
 
-    def _assemble(self, sdf, dirty, attrs, vocab, code, ucs, corr_pdf):
+    def _assemble(self, attrs, vocab, code, ucs, corr_pdf):
         network = self.network
-        counts = build_counts(value_counts(sdf, attrs), code)
+        self._codes, counts = value_counts(self._dirty, code)
 
         corr = build_corr_index(corr_pdf, code)
 
@@ -168,7 +165,7 @@ class BClean:
         self.model = FittedModel(
             attrs=attrs, vocab=vocab, code=code,
             cpt={}, childview={}, childtot={},
-            corr=corr, counts=counts, uc_ok=uc_ok, n_rows=len(dirty),
+            corr=corr, counts=counts, uc_ok=uc_ok, n_rows=len(self._dirty),
             parents={a: network.parents(a) for a in attrs},
             children={a: network.children(a) for a in attrs},
         )
@@ -179,7 +176,7 @@ class BClean:
         the dirty data. A parentless attribute gets an empty CPT: its
         marginal is ``model.counts[a]``. A single-parent family is read
         off the Algorithm-2 pair counts; the families with two or more
-        parents are counted in one Spark job (none if there are none)."""
+        parents are counted off the code matrix."""
         m = self.model
         for key in [k for k in m.childview if k[0] in attrs]:
             del m.childview[key]
@@ -193,7 +190,7 @@ class BClean:
                 m.cpt[a], m.childview[key], m.childtot[key] = (
                     m.corr.single_parent(*key))
         multi = {a: ps for a, ps in pars.items() if len(ps) > 1}
-        pdfs = cpt_counts(self._dirty_sdf, [[*p, a] for a, p in multi.items()])
+        pdfs = cpt_counts(self._codes, [[*p, a] for a, p in multi.items()])
         for (a, ps), pdf in zip(multi.items(), pdfs):
             m.cpt[a] = build_cpt_table(pdf, a, ps, m.code)
             views, tots = build_child_views(pdf, a, ps, m.code)
@@ -220,5 +217,18 @@ class BClean:
         if self.model is None:
             raise RuntimeError("fit() first")
         changes = run_inference(
-            self._spark, self._dirty_sdf, self.model, self.params)
+            self._spark, self._codes, self.model, self.params)
         return apply_repairs(self._dirty, changes, self.model.vocab)
+
+
+def _sorted_by_tid(frame: pd.DataFrame) -> pd.DataFrame:
+    """``frame`` in clean()'s row order: by tid, as integers if every tid
+    is one, else as strings."""
+    tid = frame["tid"]
+    if not tid.str.fullmatch(r"[+-]?\d+").all():
+        return frame.sort_values("tid", kind="stable", ignore_index=True)
+    try:   # exact: astype raises OverflowError rather than wrap
+        key = tid.astype(np.int64).to_numpy()
+    except OverflowError:
+        key = tid.map(int).to_numpy()   # Python ints: exact at any size
+    return frame.iloc[np.argsort(key, kind="stable")].reset_index(drop=True)

@@ -40,7 +40,7 @@ from pyspark.sql.types import DoubleType, IntegerType, StructField, StructType
 
 from .constraints import UC, uc_mask
 from .cpt import majority
-from .model import SparseTable, build_vocab, value_codes
+from .model import SparseTable, build_vocab, encode_frame
 
 __all__ = ["encode", "uc_verdicts", "tuple_confidence", "corr_counts",
            "pair_majority", "build_corr_index", "CorrIndex"]
@@ -48,12 +48,10 @@ __all__ = ["encode", "uc_verdicts", "tuple_confidence", "corr_counts",
 
 def encode(dirty: pd.DataFrame, attrs: Sequence[str]):
     """``model.build_vocab(dirty, attrs)``'s vocabularies and the
-    rows × m int32 matrix of value codes, -1 for a missing cell."""
+    rows × m int32 matrix of value codes (``model.encode_frame``), -1
+    for a missing cell."""
     vocab, code = build_vocab(dirty, attrs)
-    codes = np.empty((len(dirty), len(attrs)), dtype=np.int32)
-    for k, a in enumerate(attrs):
-        codes[:, k] = value_codes(dirty[a], code[a])
-    return vocab, codes
+    return vocab, encode_frame(dirty, code).to_numpy()
 
 
 def uc_verdicts(ucs: dict[str, UC], attr: str,
@@ -76,8 +74,8 @@ def tuple_confidence(codes: np.ndarray, verdicts: Sequence[np.ndarray], *,
     return np.maximum(0.0, (ok - lam * (m - ok)) / m)
 
 
-_CORR_COLUMNS = [("c", np.int64), ("e", np.int64), ("w", np.float64),
-                ("cnt", np.int64)]
+_CORR_COLUMNS = [("pair", np.int64), ("c", np.int64), ("e", np.int64),
+                 ("w", np.float64), ("cnt", np.int64)]
 
 
 def corr_counts(
@@ -91,8 +89,10 @@ def corr_counts(
     tau: float = 0.5,
 ) -> pd.DataFrame:
     """Algorithm 2 over the normalized frame ``dirty`` — returns pandas
-    (attr_i, attr_j, c, e, w, cnt), with ``c`` and ``e`` the int64 value
-    codes of ``model.build_vocab(dirty, attrs)``.
+    (attr_i, attr_j, pair, c, e, w, cnt), with ``pair`` the index of
+    (attr_i, attr_j) among the unordered pairs of ``attrs`` (in
+    ``itertools.combinations`` order) and ``c`` and ``e`` the int64
+    value codes of ``model.build_vocab(dirty, attrs)``.
 
     ``w`` is Σ_T (1[conf≥τ] − β·1[conf<τ]) over tuples containing the
     value pair; ``cnt`` is the raw co-occurrence count. Missing values
@@ -104,7 +104,7 @@ def corr_counts(
     """
     attrs = list(attrs)
     pairs = list(combinations(range(len(attrs)), 2))
-    out = pd.DataFrame({k: [] for k in ["p", "c", "e", "cnt", "w"]})
+    out = pd.DataFrame({k: [] for k in ["pair", "c", "e", "cnt", "w"]})
     if pairs:
         vocab, codes = encode(dirty, attrs)
         conf = tuple_confidence(
@@ -119,21 +119,19 @@ def corr_counts(
             StructType([*(StructField(k, IntegerType(), False) for k in cols),
                         StructField("w", DoubleType(), False)]))
         # one SQL expression: a Column per pair would cost ~8 py4j calls
-        each = ", ".join(f"struct({k} AS p, _{i} AS c, _{j} AS e)"
+        each = ", ".join(f"struct({k} AS pair, _{i} AS c, _{j} AS e)"
                          for k, (i, j) in enumerate(pairs))
         out = (sdf.selectExpr(f"inline(array({each}))", "w")
                .where("c >= 0 AND e >= 0")
-               .groupBy("p", "c", "e")
+               .groupBy("pair", "c", "e")
                .agg(F.count(F.lit(1)).alias("cnt"), F.sum("w").alias("w"))
                .toPandas())
-    order = np.lexsort([out[k].to_numpy() for k in ["e", "c", "p"]])
-    p = out["p"].to_numpy(dtype=np.int64)[order]
+    order = np.lexsort([out[k].to_numpy() for k in ["e", "c", "pair"]])
+    cols = {k: out[k].to_numpy(dtype=t)[order] for k, t in _CORR_COLUMNS}
     first, second = (np.array([attrs[pr[k]] for pr in pairs], dtype=object)
                      for k in (0, 1))
-    return pd.DataFrame({
-        "attr_i": first[p], "attr_j": second[p],
-        **{k: out[k].to_numpy(dtype=t)[order] for k, t in _CORR_COLUMNS}},
-        copy=False)
+    return pd.DataFrame({"attr_i": first[cols["pair"]],
+                         "attr_j": second[cols["pair"]], **cols}, copy=False)
 
 
 _SWAP = {"attr_i": "attr_j", "attr_j": "attr_i", "c": "e", "e": "c"}
@@ -142,15 +140,24 @@ _SWAP = {"attr_i": "attr_j", "attr_j": "attr_i", "c": "e", "e": "c"}
 def pair_majority(corr_pdf: pd.DataFrame) -> pd.DataFrame:
     """The majority ``c`` per ``e`` of every ordered attribute pair of
     ``corr_counts``' output, in both orientations of each unordered
-    pair: ``cpt.majority`` over ``[attr_i, attr_j, e]``, as
-    ``[attr_i, attr_j, e, c, cnt, total]``: the forward orientation's
-    rows, then the reverse one's. A tie at the maximum goes to the
-    smaller code, in either orientation, as ``corr_counts`` orders its
-    rows by code. Each orientation is read off ``corr_pdf`` in place, so
-    no reversed copy of it is made."""
-    fwd = majority(corr_pdf, ["attr_i", "attr_j", "e"], "c")
-    rev = majority(corr_pdf, ["attr_j", "attr_i", "c"], "e")
-    return pd.concat([fwd, rev.rename(columns=_SWAP)], ignore_index=True)
+    pair: ``cpt.majority`` over ``[pair, e]``, as
+    ``[attr_i, attr_j, pair, e, c, cnt, total]``: the forward
+    orientation's rows, then the reverse one's. Here ``pair`` numbers
+    the ordered pairs: ``2k`` is unordered pair ``k`` read as (attr_i,
+    attr_j) of ``corr_pdf``, ``2k + 1`` its reverse. A tie at the
+    maximum goes to the smaller code, in either orientation, as
+    ``corr_counts`` orders its rows by code. Each orientation is read
+    off ``corr_pdf`` in place, grouping integers only, so no reversed
+    copy of it is made."""
+    names = corr_pdf.drop_duplicates("pair").set_index("pair")[
+        ["attr_i", "attr_j"]]
+    fwd = majority(corr_pdf, ["pair", "e"], "c").join(names, on="pair")
+    rev = majority(corr_pdf, ["pair", "c"], "e").rename(columns=_SWAP).join(
+        names.rename(columns=_SWAP), on="pair")
+    cols = ["attr_i", "attr_j", "pair", "e", "c", "cnt", "total"]
+    return pd.concat([fwd.assign(pair=2 * fwd["pair"])[cols],
+                      rev.assign(pair=2 * rev["pair"] + 1)[cols]],
+                     ignore_index=True)
 
 
 class CorrIndex:
@@ -210,11 +217,12 @@ def build_corr_index(
     vocab_code: dict[str, dict[str, int]],
 ) -> CorrIndex:
     """Group the Algorithm-2 output into one table per ordered attribute
-    pair: the rows of each unordered pair give both of its tables, over
-    the domains of ``vocab_code``. A row with a negative code is
+    pair: the rows of each unordered ``pair`` give both of its tables,
+    over the domains of ``vocab_code``. A row with a negative code is
     dropped."""
     tables = {}
-    for (ai, aj), grp in corr_pdf.groupby(["attr_i", "attr_j"], sort=False):
+    for _, grp in corr_pdf.groupby("pair", sort=False):
+        ai, aj = grp["attr_i"].iat[0], grp["attr_j"].iat[0]
         c, e = grp["c"], grp["e"]
         vals = [grp["w"], grp["cnt"]]
         tables[(ai, aj)] = SparseTable(e, c, vals, len(vocab_code[ai]))

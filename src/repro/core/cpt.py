@@ -1,75 +1,73 @@
-"""Model statistics via one grouping-sets Spark aggregation.
+"""Model statistics read off the code matrix on the driver.
 
-All BN parameters are counts over the dirty DataFrame ("our BN
-construction models errors as part of the distribution", §4). Missing
-values (empty string or NULL) never contribute: a row is excluded from a
-node's CPT when the node value or any parent value is missing, and
-probabilities are Laplace-smoothed at lookup time (``inference.py``),
-not here — this module only materializes counts.
+All BN parameters are counts over the dirty table ("our BN construction
+models errors as part of the distribution", §4). Missing values never
+contribute: a row is excluded from a node's CPT when the node value or
+any parent value is missing, and probabilities are Laplace-smoothed at
+lookup time (``inference.py``), not here — this module only
+materializes counts.
 
-``cpt_counts`` is the aggregation behind every statistic over the
-string frame (§3's "statistics collection"): it counts the value
-combinations of a list of column families in a single ``GROUPING SETS``
-job (the data-cube operator of Gray et al., ICDE 1996) and splits the
-result on the driver by ``grouping_id()``. A group with a missing key
-is dropped after the aggregation, which equals filtering the rows
-before it because the filter reads only the family's own columns. It
-runs once over every ``[*parents, node]`` family with two or more
-parents (a single-parent CPT is read off the Algorithm-2 pair counts,
-which ``compensatory.corr_counts`` counts over int32 value codes),
-``value_counts`` (the model's only marginal) runs it over the singleton
-families, and the HoloClean baseline over its DCs. ``majority`` reads a
-count frame as the majority consequent of X → Y per X-value, the FD
-statistic behind the edge filter and the rule-based baselines.
+The counts here are the O(n·m) statistics of §3's "statistics
+collection": each is one pass over the int32 code matrix that
+``value_counts`` encodes (``model.encode_frame``), with no Spark job.
+``value_counts`` gives the model's marginals; ``cpt_counts`` counts the
+value combinations of any column families, such as ``[*parents, node]``
+for a node with two or more parents (a single-parent CPT is read off the
+Algorithm-2 pair counts, whose O(n·m²) pair expansion
+``compensatory.corr_counts`` runs in Spark) or a baseline's denial
+constraints. ``majority`` reads a count frame as the majority
+consequent of X → Y per X-value, the FD statistic behind the edge
+filter and the rule-based baselines.
 
-The outputs are model-sized *pandas* DataFrames, oracle-checked against
-DuckDB SQL in ``tests/test_cpt.py``.
+The outputs are model-sized, oracle-checked against DuckDB SQL in
+``tests/test_cpt.py``.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, functions as F
+
+from .model import encode_frame
 
 __all__ = ["cpt_counts", "value_counts", "majority"]
 
 
-def cpt_counts(df: DataFrame,
+def cpt_counts(codes: pd.DataFrame,
                families: Sequence[Sequence[str]]) -> list[pd.DataFrame]:
-    """Row count of every value combination with no missing value of
-    each family of columns, such as ``[*parents, node]``, in one Spark
-    job.
+    """Row count of every combination of value codes with no missing
+    (negative) code of each family of columns of the code frame
+    ``codes``, such as ``[*parents, node]``.
 
-    Returns one frame ``[*family, cnt]`` per family, in order. Families
-    over the same column set share one grouping set.
+    Returns one frame ``[*family, cnt]`` of int64 codes and counts per
+    family, in order, its rows ordered by the family's codes.
     """
-    families = [list(f) for f in families]
-    if not families:
-        return []
-    cols = list(dict.fromkeys(c for f in families for c in f))
-    sets = list(dict.fromkeys(frozenset(f) for f in families))
-    # grouping_id() sets bit (n-1-i) when cols[i] is not grouped
-    gid = {s: sum(1 << (len(cols) - 1 - i) for i, c in enumerate(cols)
-                  if c not in s) for s in sets}
-    out = (df.groupingSets([[c for c in cols if c in s] for s in sets], *cols)
-           .agg(F.grouping_id().alias("_gid"), F.count(F.lit(1)).alias("cnt"))
-           .toPandas())
-    res = []
-    for f in families:
-        sub = out.loc[out["_gid"] == gid[frozenset(f)], [*f, "cnt"]]
-        keep = (sub[f].notna() & (sub[f] != "")).all(axis=1)
-        res.append(sub[keep].reset_index(drop=True))
-    return res
+    out = []
+    for f in map(list, families):
+        x = codes[f].to_numpy(dtype=np.int64)
+        x = x[(x >= 0).all(axis=1)]
+        x = x[np.lexsort(x.T[::-1])]
+        new = np.ones(len(x), dtype=bool)
+        new[1:] = (x[1:] != x[:-1]).any(axis=1)
+        first = np.flatnonzero(new)
+        out.append(pd.DataFrame({
+            **{c: x[first, k] for k, c in enumerate(f)},
+            "cnt": np.diff(np.append(first, len(x)))}))
+    return out
 
 
-def value_counts(df: DataFrame, attrs: Sequence[str]) -> pd.DataFrame:
-    """Non-missing value frequencies for every attribute, long format
-    ``(attr, value, cnt)`` — the §3 "value frequency" statistic."""
-    parts = cpt_counts(df, [[a] for a in attrs])
-    return pd.concat(
-        [pd.DataFrame({"attr": a, "value": p[a], "cnt": p["cnt"]})
-         for a, p in zip(attrs, parts)], ignore_index=True)
+def value_counts(frame: pd.DataFrame, code: dict[str, dict[str, int]]):
+    """The code frame of the normalized ``frame`` (``model.encode_frame``)
+    and the §3 "value frequency" statistic read off it: each
+    attribute's count vector over its vocabulary, the model's marginal."""
+    codes = encode_frame(frame, code)
+    counts = {}
+    for a, c in code.items():
+        v = codes[a].to_numpy()
+        counts[a] = np.bincount(v[v >= 0], minlength=len(c)).astype(
+            np.float64)
+    return codes, counts
 
 
 def majority(counts: pd.DataFrame, keys: Sequence[str],

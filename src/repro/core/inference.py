@@ -43,11 +43,14 @@ Numerical choices beyond the paper's pseudocode (DESIGN.md §1):
   over the raw weight sum w, which preserves the ordering semantics
   without an unbounded cliff at 0.
 
-``repairs`` encodes a batch once into value codes and returns its
-change list, one (tid, attr, new value code) row per repaired cell. It
-runs distributed via ``mapInPandas`` with the fitted model in a Spark
-broadcast; the driver decodes the changes (``apply_repairs``). Both
-implementations share the factor formulas:
+The kernel reads a batch of value codes (``model.encode_frame``) and
+returns its change list, one (tid, attr, new value code) row per
+repaired cell; the driver decodes the changes (``apply_repairs``).
+``run_inference`` distributes it: the code frame ``BClean.fit`` keeps
+travels in the same Spark broadcast as the fitted model, and one
+``mapInPandas`` task per core scores one block of its rows.
+``repairs`` encodes a batch of strings and runs the same kernel on the
+driver. Both implementations share the factor formulas:
 
 * ``base`` runs ``_clean_loop``, the literal per-cell loop over rows ×
   attributes. It is also the reference the batched kernel is tested
@@ -70,9 +73,9 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
-from .model import FittedModel, config_key, config_keys, value_codes
+from .model import FittedModel, MISSING, config_key, config_keys, encode_frame
 from .pruning import (domain_prune_mask, domain_prune_pairs, tuple_filter,
                       tuple_filter_rows)
 
@@ -80,7 +83,6 @@ __all__ = ["InferenceParams", "repairs", "apply_repairs", "clean_batch",
            "run_inference"]
 
 _NEG_INF = float("-inf")
-_MISSING = -2   # the code of a missing value; -1 is out of vocabulary
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def _child_factor(model: FittedModel, caches: _Caches, j: str, ch: str,
                   row: dict):
     """(log Pr[t_child | c, co-parents] vector over candidates c, view
     counts, co-parent totals) or None when the factor is uninformative."""
-    if row[ch] == _MISSING:
+    if row[ch] == MISSING:
         return None
     copa = [p for p in model.parents[ch] if p != j]
     key = (j, ch, tuple(row[p] for p in copa), row[ch])
@@ -224,9 +226,9 @@ def _cs_term(w: np.ndarray, cnt: np.ndarray) -> np.ndarray:
 def _clean_loop(codes: pd.DataFrame, model: FittedModel,
                 params: InferenceParams) -> list:
     """Literal Algorithm 1, one cell at a time, over a batch of value
-    codes (``_encode``): the ``base`` variant, and the reference the
-    batched PI/PIP kernel is tested against. Returns its repairs as
-    (tid, attr, code) triples."""
+    codes (``model.encode_frame``): the ``base`` variant, and the
+    reference the batched PI/PIP kernel is tested against. Returns its
+    repairs as (tid, attr, code) triples."""
     attrs = model.attrs
     caches = _Caches()
     children = model.children
@@ -386,7 +388,7 @@ def _bn_factors(model: FittedModel, codes: pd.DataFrame, j: str,
     for ch in model.children[j]:
         copa = [p for p in model.parents[ch] if p != j]
         view, tot = model.childview[(ch, j)], model.childtot[(ch, j)]
-        trow = np.where(codes[ch].to_numpy() == _MISSING, -1,
+        trow = np.where(codes[ch].to_numpy() == MISSING, -1,
                         tot.find(config_keys(codes, copa, model.code)))
         vrow = view.find(config_keys(codes, copa + [ch], model.code))
         # one factor per distinct (co-parent row, view row); -1: none
@@ -558,13 +560,13 @@ def _clean_kernel(codes: pd.DataFrame, model: FittedModel,
     return fixed
 
 
-def _encode(pdf: pd.DataFrame, model: FittedModel) -> pd.DataFrame:
-    """The value code of every cell, indexed by tid (as ``str``):
-    ``_MISSING`` for "", -1 outside the vocabulary."""
-    return pd.DataFrame({a: np.where(pdf[a] == "", _MISSING,
-                                     value_codes(pdf[a], model.code[a]))
-                         for a in model.attrs},
-                        index=pdf["tid"].astype(str).to_numpy())
+def _changes(codes: pd.DataFrame, model: FittedModel,
+             params: InferenceParams) -> pd.DataFrame:
+    """The change list of a batch of value codes indexed by tid."""
+    clean = _clean_loop if params.variant == "base" else _clean_kernel
+    out = pd.DataFrame(clean(codes, model, params),
+                       columns=["tid", "attr", "code"])
+    return out.astype({"code": np.int64})
 
 
 def repairs(pdf: pd.DataFrame, model: FittedModel,
@@ -573,10 +575,7 @@ def repairs(pdf: pd.DataFrame, model: FittedModel,
     for missing (``model.normalize_missing``, as ``BClean.fit`` leaves
     them): the change list, one (``tid`` as ``str``, ``attr``, ``code``
     of the new value in ``model.vocab[attr]``) row per repaired cell."""
-    clean = _clean_loop if params.variant == "base" else _clean_kernel
-    out = pd.DataFrame(clean(_encode(pdf, model), model, params),
-                       columns=["tid", "attr", "code"])
-    return out.astype({"code": np.int64})
+    return _changes(encode_frame(pdf, model.code), model, params)
 
 
 def apply_repairs(frame: pd.DataFrame, changes: pd.DataFrame,
@@ -601,24 +600,28 @@ def clean_batch(pdf: pd.DataFrame, model: FittedModel,
     return apply_repairs(frame, repairs(pdf, model, params), model.vocab)
 
 
-def run_inference(spark: SparkSession, dirty: DataFrame, model: FittedModel,
-                  params: InferenceParams) -> pd.DataFrame:
-    """Distribute ``repairs`` over the cluster via mapInPandas, one task
-    per partition of ``dirty`` (``BClean.fit`` makes one per core): the
-    change list of every tuple of ``dirty``, in no particular order."""
-    bc = spark.sparkContext.broadcast(model)
+def run_inference(spark: SparkSession, codes: pd.DataFrame,
+                  model: FittedModel, params: InferenceParams) -> pd.DataFrame:
+    """Distribute Algorithm 1 over the cluster via mapInPandas: the change
+    list of every row of ``codes`` (``model.encode_frame`` of the dirty
+    frame, as ``BClean.fit`` keeps it), in no particular order. The code
+    frame travels in the model's broadcast, and each of one task per core
+    scores one contiguous block of its rows."""
+    bc = spark.sparkContext.broadcast((model, codes))
+    tasks = spark.sparkContext.defaultParallelism
 
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        m = bc.value
+        m, frame = bc.value
+        n = len(frame)
         for pdf in batches:
-            yield repairs(pdf, m, params)
+            for i in pdf["id"].tolist():
+                yield _changes(frame.iloc[i * n // tasks:(i + 1) * n // tasks],
+                               m, params)
 
     try:
-        return (
-            dirty.select("tid", *model.attrs)
-            .mapInPandas(kernel, schema="tid string, attr string, code long")
-            .toPandas()
-        )
+        schema = "tid string, attr string, code long"
+        return (spark.range(tasks, numPartitions=tasks)
+                .mapInPandas(kernel, schema=schema).toPandas())
     finally:
         # also deletes the driver's pickled copy, which unpersist keeps
         bc.destroy()

@@ -20,6 +20,9 @@ evaluation time: ``P = (count + α) / (total + α·|dom|)``.
 One missing-value convention holds throughout: ``""``.
 ``normalize_missing`` maps ``None``/``NaN`` cells to it and every other
 cell to ``str``; ``BClean.fit`` and every baseline apply it at entry.
+As a value code (``encode_frame``), a missing cell is ``MISSING`` (-1)
+and a value outside the vocabulary ``UNKNOWN`` (-2); neither ever forms
+a row key or an entry.
 """
 from __future__ import annotations
 
@@ -33,9 +36,10 @@ if TYPE_CHECKING:
     from .compensatory import CorrIndex
 
 __all__ = ["FittedModel", "SparseTable", "config_key", "config_keys",
-           "value_codes", "normalize_missing", "build_vocab", "build_counts",
-           "build_cpt_table", "build_child_views"]
+           "value_codes", "encode_frame", "normalize_missing", "build_vocab",
+           "build_cpt_table", "build_child_views", "MISSING", "UNKNOWN"]
 
+MISSING, UNKNOWN = -1, -2   # codes of a missing cell, of an unseen value
 
 _NO_KEY = np.iinfo(np.int64).min   # sentinel past the last row key
 
@@ -170,6 +174,20 @@ def value_codes(values: pd.Series, code: dict[str, int]) -> np.ndarray:
     return values.map(code).fillna(-1).to_numpy(dtype=np.int64)
 
 
+def encode_frame(frame: pd.DataFrame,
+                 code: dict[str, dict[str, int]]) -> pd.DataFrame:
+    """The int32 value code of every cell of a normalized ``frame``, one
+    column per attribute of ``code`` (in its order), indexed by ``tid``
+    (as ``str``): ``MISSING`` for ``""``, ``UNKNOWN`` for a value outside
+    the vocabulary."""
+    cols = {}
+    for a, c in code.items():
+        v = value_codes(frame[a], c)
+        v[(v < 0) & (frame[a] != "").to_numpy()] = UNKNOWN
+        cols[a] = v.astype(np.int32)
+    return pd.DataFrame(cols, index=frame["tid"].astype(str).to_numpy())
+
+
 @dataclass
 class FittedModel:
     attrs: list[str]
@@ -209,32 +227,20 @@ def build_vocab(dirty: pd.DataFrame, attrs: list[str]):
     return vocab, code
 
 
-def build_counts(vc: pd.DataFrame, code: dict[str, dict[str, int]]):
-    """Spark value counts ``(attr, value, cnt)`` → each attribute's count
-    vector over its vocabulary (the model's marginals)."""
-    counts: dict[str, np.ndarray] = {}
-    for a, c in code.items():
-        sub = vc[vc["attr"] == a]
-        v = value_codes(sub["value"], c)
-        counts[a] = np.bincount(v[v >= 0], sub["cnt"].to_numpy(
-            dtype="float64")[v >= 0], minlength=len(c))
-    return counts
-
-
 def build_cpt_table(cpt_pdf: pd.DataFrame, node: str, parents: list[str],
                     code: dict[str, dict[str, int]]) -> SparseTable:
-    """Spark CPT counts ``[*parents, node, cnt]`` → a table keyed by the
-    parents' configuration, with (node code, count) entries. Without
-    parents every entry is under key 0."""
-    codes = pd.DataFrame({c: value_codes(cpt_pdf[c], code[c])
-                          for c in [*parents, node]})
-    return SparseTable(config_keys(codes, parents, code), codes[node],
+    """CPT counts ``[*parents, node, cnt]`` over value codes
+    (``cpt.cpt_counts``) → a table keyed by the parents' configuration,
+    with (node code, count) entries. Without parents every entry is
+    under key 0."""
+    return SparseTable(config_keys(cpt_pdf, parents, code), cpt_pdf[node],
                        [cpt_pdf["cnt"]], len(code[node]))
 
 
 def build_child_views(cpt_pdf: pd.DataFrame, child: str, parents: list[str],
                       code: dict[str, dict[str, int]]):
-    """Re-index a child's CPT counts by each of its parents.
+    """Re-index a child's CPT counts over value codes by each of its
+    parents.
 
     For parent p, with co-parents the other parents, builds
       view: key (co-parents, child value) -> (code of p, count)
@@ -242,16 +248,14 @@ def build_child_views(cpt_pdf: pd.DataFrame, child: str, parents: list[str],
     so the child factor of an inferred parent is two scatters.
     Returns ({parent: view}, {parent: tot}).
     """
-    codes = pd.DataFrame({c: value_codes(cpt_pdf[c], code[c])
-                          for c in [*parents, child]})
     cnt = [cpt_pdf["cnt"]]
     views: dict[str, SparseTable] = {}
     tots: dict[str, SparseTable] = {}
     for p in parents:
         copa = [c for c in parents if c != p]
         dom = len(code[p])
-        views[p] = SparseTable(config_keys(codes, copa + [child], code),
-                               codes[p], cnt, dom)
-        tots[p] = SparseTable(config_keys(codes, copa, code), codes[p],
+        views[p] = SparseTable(config_keys(cpt_pdf, copa + [child], code),
+                               cpt_pdf[p], cnt, dom)
+        tots[p] = SparseTable(config_keys(cpt_pdf, copa, code), cpt_pdf[p],
                               cnt, dom)
     return views, tots

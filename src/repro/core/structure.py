@@ -15,9 +15,12 @@ Pipeline (the FDX [65] recipe extended with similarity softening):
 4. Keep edges with |B[i, j]| above a weight threshold, capped to the
    ``max_parents`` strongest parents per node.
 
-Step 1 reads a sample that depends only on the data: ``BClean.fit``
-keeps the ``struct_sample`` rows with the smallest 64-bit hash of
-``tid`` (``F.xxhash64``), ties broken by ``tid``.
+Step 1 reads a sample that depends only on the data: the
+``struct_sample`` rows with the smallest 64-bit hash of ``tid``, ties
+broken by ``tid`` (``structure_sample``). The table stays on the
+driver, so the sample is drawn there: ``xxhash64`` is Spark's
+``F.xxhash64`` (XXH64 with seed 42 over the UTF-8 bytes) in numpy, bit
+for bit, and only the sampled rows become a Spark frame.
 ``similarity_observations`` collects that sample once and runs one
 ``mapInPandas`` task per core over a contiguous block of pivot
 attributes; for each pivot a task sorts the sample by (pivot, tid) and
@@ -31,14 +34,100 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql.types import DoubleType, StructField, StructType
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import (DoubleType, StringType, StructField,
+                               StructType)
 
 from .glasso import empirical_covariance, graphical_lasso
 from .similarity import similarity_series
 
-__all__ = ["similarity_observations", "decompose_precision",
-           "learn_skeleton", "edge_determinism"]
+__all__ = ["xxhash64", "structure_sample", "similarity_observations",
+           "decompose_precision", "learn_skeleton", "edge_determinism"]
+
+# XXH64's primes
+_P1, _P2, _P3, _P4, _P5 = map(np.uint64, (
+    0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+    0x85EBCA77C2B2AE63, 0x27D4EB2F165667C5))
+
+
+def _rotl(x: np.ndarray, r: int) -> np.ndarray:
+    return (x << np.uint64(r)) | (x >> np.uint64(64 - r))
+
+
+def _round(acc: np.ndarray, lane: np.ndarray) -> np.ndarray:
+    return _rotl(acc + lane * _P2, 31) * _P1
+
+
+def _xxh64_rows(b: np.ndarray, seed: int) -> np.ndarray:
+    """XXH64 of each row of ``b`` (k × L bytes, one input per row), as
+    uint64: the reference algorithm, with its branches taken once for
+    the common length L."""
+    k, n = b.shape
+
+    def lane(o: int, width: int) -> np.ndarray:   # little-endian word
+        word = np.ascontiguousarray(b[:, o:o + width]).view(f"<u{width}")
+        return word[:, 0].astype(np.uint64)
+
+    zero = np.zeros(k, dtype=np.uint64)
+    h = np.full(k, seed, dtype=np.uint64)
+    o = 0
+    if n >= 32:   # four accumulators over 32-byte stripes
+        v = [h + _P1 + _P2, h + _P2, h.copy(), h - _P1]
+        while o + 32 <= n:
+            v = [_round(v[i], lane(o + 8 * i, 8)) for i in range(4)]
+            o += 32
+        h = _rotl(v[0], 1) + _rotl(v[1], 7) + _rotl(v[2], 12) + _rotl(v[3], 18)
+        for acc in v:
+            h = (h ^ _round(zero, acc)) * _P1 + _P4
+    else:
+        h = h + _P5
+    h = h + np.uint64(n)
+    while o + 8 <= n:
+        h = _rotl(h ^ _round(zero, lane(o, 8)), 27) * _P1 + _P4
+        o += 8
+    if o + 4 <= n:
+        h = _rotl(h ^ (lane(o, 4) * _P1), 23) * _P2 + _P3
+        o += 4
+    while o < n:
+        h = _rotl(h ^ (b[:, o].astype(np.uint64) * _P5), 11) * _P1
+        o += 1
+    h ^= h >> np.uint64(33)
+    h *= _P2
+    h ^= h >> np.uint64(29)
+    h *= _P3
+    return h ^ (h >> np.uint64(32))
+
+
+def xxhash64(values: Iterable[str], seed: int = 42) -> np.ndarray:
+    """Spark's ``F.xxhash64`` of each string, as int64: XXH64 of its UTF-8
+    bytes with Spark's seed 42. The strings are hashed in one batch per
+    byte length."""
+    data = [v.encode("utf-8") for v in values]
+    size = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    out = np.empty(len(data), dtype=np.uint64)
+    for n in np.unique(size):
+        rows = np.flatnonzero(size == n)
+        b = np.frombuffer(b"".join([data[r] for r in rows]), dtype=np.uint8)
+        out[rows] = _xxh64_rows(b.reshape(len(rows), n), seed)
+    return out.view(np.int64)
+
+
+def structure_sample(spark: SparkSession, frame: pd.DataFrame,
+                     attrs: Sequence[str], n: int) -> DataFrame:
+    """The structure sample of the normalized ``frame`` as a Spark frame
+    of its string columns ``tid`` and ``attrs``: the ``n`` rows with the
+    smallest ``xxhash64(tid)``, ties broken by ``tid``, in that order —
+    the rows ``orderBy(F.xxhash64("tid"), "tid").limit(n)`` keeps. It
+    depends on the data alone, not on the row order."""
+    cols = ["tid", *attrs]
+    h = xxhash64(frame["tid"])
+    rows = np.argsort(h, kind="stable")
+    if (h[rows[1:]] == h[rows[:-1]]).any():   # a tie: break it by tid
+        rows = pd.DataFrame({"h": h, "tid": frame["tid"].to_numpy()}
+                            ).sort_values(["h", "tid"]).index
+    return spark.createDataFrame(
+        frame[cols].iloc[rows[:n]],
+        StructType([StructField(c, StringType()) for c in cols]))
 
 
 def edge_determinism(major: pd.DataFrame, attrs: Sequence[str]
@@ -46,7 +135,8 @@ def edge_determinism(major: pd.DataFrame, attrs: Sequence[str]
     """FD-ness of every candidate edge X → Y between two of ``attrs``,
     as ``{(X, Y): (det, support)}``, from the majority Y-value per
     X-value of the Algorithm-2 co-occurrence counts,
-    ``compensatory.pair_majority(corr_pdf)``:
+    ``compensatory.pair_majority(corr_pdf)``, one ordered pair per
+    ``pair``:
     ``det`` is the fraction of rows on which the majority would be
     correct (Σ cnt / Σ total, the confidence of the approximate FD
     X → Y), ``support`` the mean majority count; both are 0 for a pair
@@ -55,9 +145,10 @@ def edge_determinism(major: pd.DataFrame, attrs: Sequence[str]
     (softened) FDs, so a high-entropy conditional is a lasso artifact,
     not a dependency worth a CPT."""
     out = {(x, y): (0.0, 0.0) for x in attrs for y in attrs if x != y}
-    per_pair = major.groupby(["attr_i", "attr_j"], sort=False).agg(
-        top=("cnt", "sum"), total=("total", "sum"), support=("cnt", "mean"))
-    for (y, x), top, total, support in per_pair.itertuples():
+    per_pair = major.groupby("pair", sort=False).agg(
+        y=("attr_i", "first"), x=("attr_j", "first"), top=("cnt", "sum"),
+        total=("total", "sum"), support=("cnt", "mean"))
+    for y, x, top, total, support in per_pair.itertuples(index=False):
         out[(x, y)] = (float(top / total), float(support))
     return out
 

@@ -12,7 +12,7 @@ from repro.core.cleaner import BClean
 from repro.core.cpt import cpt_counts
 from repro.core.inference import apply_repairs, run_inference
 from repro.core.model import (build_child_views, build_cpt_table,
-                              normalize_missing)
+                              encode_frame, normalize_missing)
 from repro.core.network import BayesianNetwork
 from repro.datasets.registry import load_task
 from repro.datasets.ucs import BN_EDITS
@@ -57,7 +57,7 @@ def test_variant_quality_close(spark, hospital_task, fitted_hospital):
     f1 = {}
     for name, p in [("base", base), ("PI", bc.params), ("PIP", pip)]:
         rep = apply_repairs(bc._dirty, run_inference(
-            spark, bc._dirty_sdf, bc.model, p), bc.model.vocab)
+            spark, bc._codes, bc.model, p), bc.model.vocab)
         f1[name] = score_repair(t.clean, t.dirty, rep).f1
     # §7.2.1: the efficiency optimizations do not significantly hurt quality
     assert abs(f1["base"] - f1["PI"]) < 0.08
@@ -166,7 +166,7 @@ def test_single_parent_tables_match_cpt_counts(spark, task, fitted, case):
     data = normalize_missing(dirty)
     single = {a: ps[0] for a, ps in m.parents.items() if len(ps) == 1}
     assert single
-    pdfs = cpt_counts(spark.createDataFrame(data),
+    pdfs = cpt_counts(encode_frame(data, m.code),
                       [[p, a] for a, p in single.items()])
     con = duckdb.connect()
     con.register("t", data)
@@ -199,7 +199,7 @@ def test_single_parent_tables_match_cpt_counts(spark, task, fitted, case):
 def test_flights_edits_launch_no_spark_job(spark, flights_task):
     """§7.3.2's flights edits leave every edited node one parent, so
     re-estimating them reads the pair counts and launches no Spark job;
-    a second parent needs the one ``cpt_counts`` job."""
+    a second parent is counted off the code matrix, with no job either."""
     t = flights_task
     bc = BClean("PI").fit(spark, t.dirty, ucs=t.ucs, bn_edits=[])
     sc = spark.sparkContext
@@ -218,7 +218,9 @@ def test_flights_edits_launch_no_spark_job(spark, flights_task):
     assert n == 0
     affected, n = jobs([("add", "sched_dep_time", "act_dep_time")],
                        "second-parent")
-    assert affected == {"act_dep_time"} and n >= 1
+    assert affected == {"act_dep_time"} and n == 0
+    assert len(bc.network.parents("act_dep_time")) == 2
+    assert len(bc.model.cpt["act_dep_time"])
 
 
 def _fd_cycle_frame() -> pd.DataFrame:
@@ -295,6 +297,48 @@ def test_fit_orders_integer_tids_beyond_int64(spark):
     out = bc.clean()
     assert out["tid"].tolist() == ["2", "10", "99999999999999999999"]
     assert out["a"].tolist() == ["z", "y", "x"]
+
+
+def test_fit_orders_signed_and_padded_integer_tids(spark):
+    """Signs and leading zeros sort by value, up to the int64 maximum."""
+    tids = ["9223372036854775807", "+5", "007", "-3", "10"]
+    dirty = pd.DataFrame({"tid": tids, "a": list("vwxyz")})
+    bc = BClean("PI").fit(spark, dirty, network=BayesianNetwork.from_parents(
+        {"a": []}))
+    assert bc.clean()["tid"].tolist() == ["-3", "+5", "007", "10",
+                                          "9223372036854775807"]
+
+
+def test_fit_keeps_one_code_frame_of_the_dirty_rows(fitted):
+    """fit keeps the table once, as the int32 code frame of ``_dirty``
+    (its rows, in its order; -1 for a missing cell), and the model's
+    marginals are its counts."""
+    bc = fitted("hospital")
+    codes = bc._codes
+    assert codes.equals(encode_frame(bc._dirty, bc.model.code))
+    assert (codes.dtypes == np.int32).all()
+    assert (codes.to_numpy() >= -1).all()
+    for a in bc.model.attrs:
+        v = codes[a].to_numpy()
+        assert bc.model.counts[a].tolist() == np.bincount(
+            v[v >= 0], minlength=bc.model.dom_size(a)).tolist()
+
+
+def test_fit_clean_and_edits_leave_no_cached_data(spark, task):
+    """Nothing a fit, a clean or an edit does stays in Spark's storage:
+    the number of persisted RDDs is the same before and after."""
+    jsc = spark.sparkContext._jsc
+    before = jsc.getPersistentRDDs().size()
+    for name in ("hospital", "flights", "beers"):
+        t = task(name)
+        bc = BClean("PI").fit(spark, t.dirty, ucs=t.ucs,
+                              numeric_attrs=t.numeric_attrs)
+        bc.clean()
+        a, b, c = t.attrs[:3]
+        bc.apply_network_edits([("add", a, c), ("add", b, c)])
+        bc.clean()
+        del bc
+    assert jsc.getPersistentRDDs().size() == before
 
 
 def test_fit_treats_none_and_nan_as_missing(spark):

@@ -10,8 +10,9 @@ from repro.core.constraints import UC, uc_mask
 from repro.core.model import build_vocab, normalize_missing, value_codes
 from repro.oracle import assert_equivalent
 
-CORR_DTYPES = {"attr_i": object, "attr_j": object, "c": np.int64,
-               "e": np.int64, "w": np.float64, "cnt": np.int64}
+CORR_DTYPES = {"attr_i": object, "attr_j": object, "pair": np.int64,
+               "c": np.int64, "e": np.int64, "w": np.float64,
+               "cnt": np.int64}
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +205,9 @@ def test_pair_majority_tie_goes_to_smallest_code(spark):
                       "a": ["k", "k", "k", "k", "j"],
                       "b": ["q", "q", "p", "p", "q"]})
     major = pair_majority(corr_counts(spark, t, ["a", "b"], {}))
+    # ordered pair 2k is pair k as corr_counts emits it, 2k + 1 reversed
+    assert major[["attr_i", "attr_j", "pair"]].drop_duplicates().to_numpy(
+        ).tolist() == [["a", "b", 0], ["b", "a", 1]]
     rev = major[major["attr_i"] == "b"].set_index("e")
     assert rev.loc[1, "c"] == 0                     # k -> p, not q
     assert rev.loc[1, ["cnt", "total"]].tolist() == [2, 4]
@@ -231,9 +235,9 @@ def test_corr_counts_one_row_set_per_unordered_pair(spark, frame, ucs):
     (b, a) is table (a, b) transposed, weights and counts alike."""
     attrs = ["c", "a", "b"]
     out = corr_counts(spark, frame, attrs, ucs)
-    pairs = out[["attr_i", "attr_j"]].drop_duplicates()
+    pairs = out[["attr_i", "attr_j", "pair"]].drop_duplicates()
     assert list(map(tuple, pairs.to_numpy())) == [
-        ("c", "a"), ("c", "b"), ("a", "b")]
+        ("c", "a", 0), ("c", "b", 1), ("a", "b", 2)]
     assert not out.duplicated(["attr_i", "attr_j", "c", "e"]).any()
     code = {"a": {"bad!": 0, "x": 1}, "b": {"p": 0, "q": 1},
             "c": {"1": 0, "2": 1}}
@@ -274,14 +278,14 @@ def test_build_corr_index_lookup(spark, frame):
     got = dict(zip(codes.tolist(), cnt.tolist()))
     assert got[code["a"]["x"]] == 2.0      # (x, p) in rows 0 and 1
     assert got[code["a"]["bad!"]] == 1.0   # (bad!, p) once, in row 2
-    assert idx.lookup("a", "b", -1) is None    # out of vocabulary
-    assert idx.lookup("a", "b", -2) is None    # missing
+    assert idx.lookup("a", "b", -1) is None    # missing
+    assert idx.lookup("a", "b", -2) is None    # out of vocabulary
     assert idx.lookup("a", "zz", 0) is None
 
 
 def test_build_corr_index_skips_unknown_codes():
     corr = pd.DataFrame({"attr_i": ["a", "a"], "attr_j": ["b", "b"],
-                         "c": [0, -1], "e": [0, 0], "w": [2.0, 1.0],
+                         "pair": [0, 0], "c": [0, -1], "e": [0, 0], "w": [2.0, 1.0],
                          "cnt": [2, 1]})
     idx = build_corr_index(corr, {"a": {"x": 0}, "b": {"p": 0}})
     codes, _, cnt = idx.lookup("a", "b", 0)
@@ -292,7 +296,7 @@ def test_build_corr_index_skips_unknown_codes():
 
 def test_build_corr_index_empty():
     idx = build_corr_index(
-        pd.DataFrame(columns=["attr_i", "attr_j", "c", "e", "w", "cnt"]),
+        pd.DataFrame(columns=list(CORR_DTYPES)),
         {})
     assert idx.lookup("a", "b", 0) is None
 

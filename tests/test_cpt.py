@@ -1,8 +1,9 @@
-"""Oracle-checked tests for the Spark CPT / statistics aggregations.
+"""Oracle-checked tests for the CPT / statistics counts.
 
-Every aggregation used by model fitting is diffed against DuckDB SQL
-through ``repro.oracle.assert_equivalent`` — a wrong groupBy or missing
-filter fails loudly, not silently.
+Every count used by model fitting is diffed against DuckDB SQL through
+``repro.oracle.assert_equivalent``, with its value codes decoded to
+strings first — a wrong grouping or missing filter fails loudly, not
+silently.
 """
 import numpy as np
 import pandas as pd
@@ -10,7 +11,7 @@ import pytest
 
 from repro.core.compensatory import corr_counts, pair_majority
 from repro.core.cpt import cpt_counts, majority, value_counts
-from repro.core.model import build_vocab, normalize_missing
+from repro.core.model import build_vocab, encode_frame, normalize_missing
 from repro.oracle import assert_equivalent
 
 
@@ -31,44 +32,70 @@ def frame():
     return pdf
 
 
+def _coded(frame):
+    """``frame``'s vocabularies and its code frame."""
+    frame = normalize_missing(frame)
+    vocab, code = build_vocab(frame, [c for c in frame if c != "tid"])
+    return vocab, encode_frame(frame, code)
+
+
+def decoded(out, vocab):
+    """A count frame ``[*family, cnt]`` with its codes decoded to
+    strings."""
+    return out.assign(**{c: vocab[c][out[c].to_numpy()]
+                         for c in out.columns if c != "cnt"})
+
+
 @pytest.fixture(scope="module")
-def sframe(spark, frame):
-    return spark.createDataFrame(frame)
+def coded(frame):
+    return _coded(frame)
 
 
-def test_cpt_counts_no_parents_oracle(spark, sframe, frame):
-    [out] = cpt_counts(sframe, [["a"]])
+def test_cpt_counts_no_parents_oracle(coded, frame):
+    vocab, codes = coded
+    [out] = cpt_counts(codes, [["a"]])
     assert_equivalent(
-        spark.createDataFrame(out),
+        decoded(out, vocab),
         "SELECT a, COUNT(*)::BIGINT AS cnt FROM t WHERE a <> '' GROUP BY a",
         t=frame,
     )
 
 
-def test_cpt_counts_one_parent_oracle(spark, sframe, frame):
-    [out] = cpt_counts(sframe, [["a", "b"]])
+def test_cpt_counts_one_parent_oracle(coded, frame):
+    vocab, codes = coded
+    [out] = cpt_counts(codes, [["a", "b"]])
     assert_equivalent(
-        spark.createDataFrame(out),
+        decoded(out, vocab),
         "SELECT a, b, COUNT(*)::BIGINT AS cnt FROM t "
         "WHERE a <> '' AND b <> '' GROUP BY a, b",
         t=frame,
     )
 
 
-def test_cpt_counts_two_parents_oracle(spark, sframe, frame):
-    [out] = cpt_counts(sframe, [["a", "b", "c"]])
+def test_cpt_counts_two_parents_oracle(coded, frame):
+    vocab, codes = coded
+    [out] = cpt_counts(codes, [["a", "b", "c"]])
     assert_equivalent(
-        spark.createDataFrame(out),
+        decoded(out, vocab),
         "SELECT a, b, c, COUNT(*)::BIGINT AS cnt FROM t "
         "WHERE a <> '' AND b <> '' AND c <> '' GROUP BY a, b, c",
         t=frame,
     )
 
 
-def test_value_counts_oracle(spark, sframe, frame):
-    out = value_counts(sframe, ["a", "b", "c"])
+def long_counts(counts, vocab):
+    """``value_counts``' marginals as (attr, value, cnt) rows."""
+    return pd.concat([pd.DataFrame({"attr": a, "value": vocab[a],
+                                    "cnt": c.astype(np.int64)})
+                      for a, c in counts.items()], ignore_index=True)
+
+
+def test_value_counts_oracle(frame):
+    vocab, code = build_vocab(frame, ["a", "b", "c"])
+    codes, counts = value_counts(frame, code)
+    assert codes.equals(encode_frame(frame, code))
     assert_equivalent(
-        spark.createDataFrame(out),
+        long_counts(counts, vocab),
         """
         SELECT attr, value, COUNT(*)::BIGINT AS cnt FROM (
           SELECT 'a' AS attr, a AS value FROM t WHERE a <> ''
@@ -80,14 +107,18 @@ def test_value_counts_oracle(spark, sframe, frame):
     )
 
 
-def test_cpt_counts_total_matches_nonmissing_rows(sframe, frame):
-    [out] = cpt_counts(sframe, [["a"]])
+def test_cpt_counts_total_matches_nonmissing_rows(coded, frame):
+    [out] = cpt_counts(coded[1], [["a"]])
     assert out["cnt"].sum() == (frame["a"] != "").sum()
 
 
-def test_value_counts_covers_every_attr(sframe):
-    out = value_counts(sframe, ["a", "b", "c"])
-    assert set(out["attr"]) == {"a", "b", "c"}
+def test_value_counts_covers_every_attr(frame):
+    _, code = build_vocab(frame, ["a", "b", "c"])
+    codes, counts = value_counts(frame, code)
+    assert list(counts) == list(codes.columns) == ["a", "b", "c"]
+    assert codes.index.tolist() == frame["tid"].tolist()
+    assert all(c.dtype == np.float64 and c.min() > 0
+               for c in counts.values())
 
 
 @pytest.fixture(scope="module")
@@ -111,19 +142,20 @@ def _family_sql(fam):
             f"WHERE {where} GROUP BY {cols}")
 
 
-def test_cpt_counts_families_oracle(spark, mixed):
-    """One grouping-sets job equals one filtered GROUP BY per family:
-    sizes 1-4, one column set in two orders (deduped, not counted
-    twice), NULL keys told apart from ungrouped columns, and a family
-    whose every key is missing."""
+def test_cpt_counts_families_oracle(mixed):
+    """Each family's counts equal one filtered GROUP BY: sizes 1-4, one
+    column set in two orders, NULL keys next to ``""`` keys, and a
+    family whose every key is missing; rows are ordered by code."""
     fams = [["a"], ["d"], ["b", "a"], ["a", "b"], ["c", "a", "d"],
             ["a", "b", "c", "d"], ["d", "z"]]
-    outs = cpt_counts(spark.createDataFrame(mixed), fams)
+    vocab, codes = _coded(mixed)
+    outs = cpt_counts(codes, fams)
     assert len(outs) == len(fams)
     for fam, out in zip(fams[:-1], outs):
         assert list(out.columns) == [*fam, "cnt"]
-        assert_equivalent(spark.createDataFrame(out), _family_sql(fam),
-                          t=mixed)
+        assert (out.dtypes == np.int64).all()
+        assert out[fam].equals(out[fam].sort_values(fam, ignore_index=True))
+        assert_equivalent(decoded(out, vocab), _family_sql(fam), t=mixed)
     assert list(outs[-1].columns) == ["d", "z", "cnt"]
     assert outs[-1].empty
 
@@ -162,16 +194,16 @@ def test_majority_of_corr_counts_matches_cpt_counts(spark, task, name):
     (below that, a tie may break either way)."""
     t = task(name)
     dirty = normalize_missing(t.dirty)
-    sdf = spark.createDataFrame(dirty)
     attrs = t.attrs
-    vocab, _ = build_vocab(dirty, attrs)
+    vocab, code = build_vocab(dirty, attrs)
     major = pair_majority(corr_counts(spark, dirty, attrs, {}))
     major["e"] = [vocab[x][k] for x, k in zip(major["attr_j"], major["e"])]
     major["c"] = [vocab[y][k] for y, k in zip(major["attr_i"], major["c"])]
     by_pair = dict(iter(major.groupby(["attr_i", "attr_j"])))
     pairs = [(x, y) for x in attrs for y in attrs if x != y]
-    for (x, y), pdf in zip(pairs, cpt_counts(sdf, pairs)):
-        ref = majority(pdf, [x], y).set_index(x).sort_index()
+    for (x, y), pdf in zip(pairs, cpt_counts(encode_frame(dirty, code),
+                                             pairs)):
+        ref = majority(decoded(pdf, vocab), [x], y).set_index(x).sort_index()
         assert len(ref), (x, y)
         got = by_pair[(y, x)].set_index("e").sort_index()
         assert got.index.tolist() == ref.index.tolist(), (x, y)

@@ -12,9 +12,9 @@ from repro.core import inference
 from repro.core.cleaner import BClean
 from repro.core.constraints import UC
 from repro.core.inference import (InferenceParams, _Caches, _clean_kernel,
-                                  _clean_loop, _corr_gather, _encode,
-                                  _node_scalar, apply_repairs, clean_batch,
-                                  run_inference)
+                                  _clean_loop, _corr_gather, _node_scalar,
+                                  apply_repairs, clean_batch, run_inference)
+from repro.core.model import encode_frame
 from repro.core.network import BayesianNetwork
 from repro.core.pruning import domain_prune_mask, tuple_filter
 from repro.datasets.registry import DATASETS
@@ -117,7 +117,7 @@ def _assert_batched_matches_loop(pdf, model, params):
     and of 2, where ties at the K-th score and pruned originals are
     common."""
     runs = [("PI", params.top_k)] + [("PIP", k) for k in (params.top_k, 1, 2)]
-    codes = _encode(pdf, model)
+    codes = encode_frame(pdf, model.code)
     for variant, top_k in runs:
         for use_ucs in (True, False):
             p = dataclasses.replace(params, variant=variant, use_ucs=use_ucs,
@@ -192,7 +192,7 @@ def _pip_cases(pdf, model, params):
     pruning functions."""
     cases = set()
     caches = _Caches()
-    for row in _encode(pdf, model).to_dict("records"):
+    for row in encode_frame(pdf, model.code).to_dict("records"):
         for j in model.attrs:
             orig = row[j]
             cnt_vecs, evid, blanket_vecs = [], [], []
@@ -251,8 +251,8 @@ def test_node_scalar_falls_back_to_marginal(micro_fit):
     a = m.alpha
 
     def codes(row):
-        return _encode(pd.DataFrame([{"tid": "0", **row}]),
-                       m).iloc[0].to_dict()
+        return encode_frame(pd.DataFrame([{"tid": "0", **row}]),
+                            m.code).iloc[0].to_dict()
 
     # parentless node
     got = _node_scalar(m, _Caches(), "tag",
@@ -277,8 +277,8 @@ def test_run_inference_matches_clean_batch(spark, micro_fit):
     new value; decoded into the dirty frame, they give clean_batch's."""
     pdf, bc = micro_fit
     local = clean_batch(pdf, bc.model, bc.params)
-    changes = run_inference(spark, spark.createDataFrame(pdf), bc.model,
-                            bc.params)
+    changes = run_inference(spark, encode_frame(pdf, bc.model.code),
+                            bc.model, bc.params)
     assert list(changes.columns) == ["tid", "attr", "code"]
     repaired, dirty = local.set_index("tid"), pdf.set_index("tid")
     changed = sorted((t, a) for a in bc.model.attrs

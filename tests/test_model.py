@@ -1,15 +1,16 @@
 """Tests for vocabulary / CPT-table / child-view assembly: every count
-table is a ``SparseTable``, checked against a pandas ``groupby`` of the
-same input."""
+table is a ``SparseTable``, built from value codes and checked against
+a pandas ``groupby`` of the same input as strings."""
 import pickle
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.model import (SparseTable, build_child_views,
-                              build_cpt_table, build_vocab, config_key,
-                              config_keys, normalize_missing, value_codes)
+from repro.core.model import (MISSING, UNKNOWN, SparseTable,
+                              build_child_views, build_cpt_table, build_vocab,
+                              config_key, config_keys, encode_frame,
+                              normalize_missing, value_codes)
 
 
 def _key(code, cols, vals):
@@ -45,8 +46,31 @@ def test_normalize_missing_maps_none_and_nan_to_empty():
     assert list(vocab["a"]) == ["x", "y"]
 
 
+def test_encode_frame_codes_missing_and_unknown_values(frame):
+    """One convention for every code frame: ``""`` is ``MISSING`` (-1),
+    a value outside the vocabulary ``UNKNOWN`` (-2), any other cell its
+    vocabulary code; int32 columns in vocabulary order, indexed by tid
+    as ``str``."""
+    _, code = build_vocab(frame, ["x", "y", "z"])
+    batch = frame.assign(tid=range(5), x=["a", "GHOST", "b", "", "a"])
+    codes = encode_frame(batch, code)
+    assert (MISSING, UNKNOWN) == (-1, -2)
+    assert codes.index.tolist() == ["0", "1", "2", "3", "4"]
+    assert list(codes.columns) == ["x", "y", "z"]
+    assert (codes.dtypes == np.int32).all()
+    assert codes["x"].tolist() == [0, UNKNOWN, 1, MISSING, 0]
+    assert codes["z"].tolist() == [0, 1, 0, MISSING, 0]
+
+
 def _counts(rows, cols):
     return pd.DataFrame(rows, columns=cols)
+
+
+def _coded(pdf, code):
+    """A count frame of strings with its values as value codes (-1
+    outside the vocabulary), the form ``cpt.cpt_counts`` gives."""
+    return pdf.assign(**{c: value_codes(pdf[c], code[c])
+                         for c in pdf.columns if c != "cnt"})
 
 
 def _as_dict(table: SparseTable, code, cols, n_vals=1):
@@ -83,7 +107,7 @@ def _check_layout(table: SparseTable):
 def test_build_cpt_table_no_parents(frame):
     vocab, code = build_vocab(frame, ["x", "y", "z"])
     pdf = _counts([("a", 3), ("b", 2)], ["x", "cnt"])
-    table = build_cpt_table(pdf, "x", [], code)
+    table = build_cpt_table(_coded(pdf, code), "x", [], code)
     assert table.keys.tolist() == [0]      # every entry under key 0
     assert _as_dict(table, code, ["x"]) == _groupby(pdf, ["x"], code)
     codes, counts = table.row(0)
@@ -94,7 +118,7 @@ def test_build_cpt_table_one_parent(frame):
     vocab, code = build_vocab(frame, ["x", "y", "z"])
     pdf = _counts([("a", "p", 2), ("a", "r", 1), ("b", "q", 2)],
                   ["x", "y", "cnt"])
-    table = build_cpt_table(pdf, "y", ["x"], code)
+    table = build_cpt_table(_coded(pdf, code), "y", ["x"], code)
     _check_layout(table)
     assert _as_dict(table, code, ["x", "y"]) == _groupby(pdf, ["x", "y"],
                                                          code)
@@ -110,7 +134,7 @@ def test_build_cpt_table_two_parents(frame):
     pdf = _counts([("a", "p", "1", 1), ("a", "p", "2", 1),
                    ("b", "q", "1", 1), ("a", "p", "1", 2)],   # a repeat
                   ["x", "y", "z", "cnt"])
-    table = build_cpt_table(pdf, "z", ["x", "y"], code)
+    table = build_cpt_table(_coded(pdf, code), "z", ["x", "y"], code)
     _check_layout(table)
     got = _as_dict(table, code, ["x", "y", "z"])
     assert got == _groupby(pdf, ["x", "y", "z"], code)
@@ -122,14 +146,15 @@ def test_build_cpt_table_two_parents(frame):
 def test_build_cpt_table_skips_unknown_node_values(frame):
     vocab, code = build_vocab(frame, ["x", "y", "z"])
     pdf = _counts([("a", 3), ("GHOST", 2)], ["x", "cnt"])
-    table = build_cpt_table(pdf, "x", [], code)
+    table = build_cpt_table(_coded(pdf, code), "x", [], code)
     assert _as_dict(table, code, ["x"]) == {("a",): 3.0}
     assert _groupby(pdf, ["x"], code) == {("a",): 3.0}
 
 
 def test_build_cpt_table_empty(frame):
     vocab, code = build_vocab(frame, ["x", "y", "z"])
-    table = build_cpt_table(_counts([], ["x", "y", "cnt"]), "y", ["x"], code)
+    table = build_cpt_table(_coded(_counts([], ["x", "y", "cnt"]), code),
+                            "y", ["x"], code)
     assert len(table) == 0 and not table
     assert table.row(0) is None
     assert table.find(np.array([0, -1])).tolist() == [-1, -1]
@@ -140,7 +165,7 @@ def test_build_child_views_single_parent(frame):
     vocab, code = build_vocab(frame, ["x", "y", "z"])
     pdf = _counts([("a", "p", 2), ("a", "r", 1), ("b", "q", 2)],
                   ["x", "y", "cnt"])
-    views, tots = build_child_views(pdf, "y", ["x"], code)
+    views, tots = build_child_views(_coded(pdf, code), "y", ["x"], code)
     # view: key (child value) -> counts over dom(x)
     assert _as_dict(views["x"], code, ["y", "x"]) == _groupby(
         pdf, ["y", "x"], code)
@@ -156,7 +181,7 @@ def test_build_child_views_coparents(frame):
     pdf = _counts([("a", "p", "1", 2), ("a", "r", "1", 1),
                    ("b", "q", "2", 2), ("a", "p", "2", 1)],
                   ["x", "y", "z", "cnt"])
-    views, tots = build_child_views(pdf, "z", ["x", "y"], code)
+    views, tots = build_child_views(_coded(pdf, code), "z", ["x", "y"], code)
     for p, copa in (("x", "y"), ("y", "x")):
         _check_layout(views[p])
         assert _as_dict(views[p], code, [copa, "z", p]) == _groupby(
@@ -170,8 +195,8 @@ def test_build_child_views_coparents(frame):
 
 def test_build_child_views_empty(frame):
     vocab, code = build_vocab(frame, ["x", "y", "z"])
-    views, tots = build_child_views(_counts([], ["x", "y", "cnt"]), "y",
-                                    ["x"], code)
+    views, tots = build_child_views(
+        _coded(_counts([], ["x", "y", "cnt"]), code), "y", ["x"], code)
     assert not views["x"] and not tots["x"]
 
 

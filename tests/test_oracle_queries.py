@@ -1,6 +1,7 @@
-"""Extra DuckDB-oracle checks over the synthetic datasets: the Spark
-statistics the cleaner consumes agree with plain SQL over the same
-input, on real (generated) data rather than toy frames."""
+"""Extra DuckDB-oracle checks over the synthetic datasets: the
+statistics the cleaner consumes, decoded to strings, agree with plain
+SQL over the same input, on real (generated) data rather than toy
+frames."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,40 +10,46 @@ from repro.core.compensatory import (corr_counts, encode, tuple_confidence,
                                      uc_verdicts)
 from repro.core.constraints import uc_mask
 from repro.core.cpt import cpt_counts, value_counts
-from repro.core.model import normalize_missing
+from repro.core.model import build_vocab, encode_frame, normalize_missing
 from repro.oracle import assert_equivalent
+from tests.test_cpt import decoded, long_counts
 
 
 @pytest.fixture(scope="module")
-def hosp(spark, hospital_task):
-    return spark.createDataFrame(hospital_task.dirty).cache()
+def hosp(hospital_task):
+    """The hospital data's vocabularies, codes and code frame."""
+    dirty = normalize_missing(hospital_task.dirty)
+    vocab, code = build_vocab(dirty, hospital_task.attrs)
+    return vocab, code, encode_frame(dirty, code)
 
 
-def test_hospital_prior_counts_oracle(spark, hosp, hospital_task):
-    [out] = cpt_counts(hosp, [["State"]])
+def test_hospital_prior_counts_oracle(hosp, hospital_task):
+    vocab, _, codes = hosp
+    [out] = cpt_counts(codes, [["State"]])
     assert_equivalent(
-        spark.createDataFrame(out),
+        decoded(out, vocab),
         "SELECT State, COUNT(*)::BIGINT AS cnt FROM t "
         "WHERE State IS NOT NULL AND State <> '' GROUP BY State",
         t=hospital_task.dirty,
     )
 
 
-def test_hospital_cpt_counts_oracle(spark, hosp, hospital_task):
-    [out] = cpt_counts(hosp, [["City", "State"]])
+def test_hospital_cpt_counts_oracle(hosp, hospital_task):
+    vocab, _, codes = hosp
+    [out] = cpt_counts(codes, [["City", "State"]])
     assert_equivalent(
-        spark.createDataFrame(out),
+        decoded(out, vocab),
         "SELECT City, State, COUNT(*)::BIGINT AS cnt FROM t "
         "WHERE City <> '' AND State <> '' GROUP BY City, State",
         t=hospital_task.dirty,
     )
 
 
-def test_hospital_stateavg_cpt_two_parents_oracle(spark, hosp,
-                                                  hospital_task):
-    [out] = cpt_counts(hosp, [["State", "MeasureCode", "StateAvg"]])
+def test_hospital_stateavg_cpt_two_parents_oracle(hosp, hospital_task):
+    vocab, _, codes = hosp
+    [out] = cpt_counts(codes, [["State", "MeasureCode", "StateAvg"]])
     assert_equivalent(
-        spark.createDataFrame(out),
+        decoded(out, vocab),
         "SELECT State, MeasureCode, StateAvg, COUNT(*)::BIGINT AS cnt "
         "FROM t WHERE State <> '' AND MeasureCode <> '' AND StateAvg <> '' "
         "GROUP BY State, MeasureCode, StateAvg",
@@ -50,10 +57,13 @@ def test_hospital_stateavg_cpt_two_parents_oracle(spark, hosp,
     )
 
 
-def test_hospital_value_counts_oracle(spark, hosp, hospital_task):
-    out = value_counts(hosp, ["City", "State"])
+def test_hospital_value_counts_oracle(hosp, hospital_task):
+    vocab, code, codes = hosp
+    sub = {a: code[a] for a in ["City", "State"]}
+    got, counts = value_counts(normalize_missing(hospital_task.dirty), sub)
+    assert got.equals(codes[["City", "State"]])
     assert_equivalent(
-        spark.createDataFrame(out),
+        long_counts(counts, vocab),
         """
         SELECT attr, value, COUNT(*)::BIGINT AS cnt FROM (
           SELECT 'City' AS attr, City AS value FROM t WHERE City <> ''

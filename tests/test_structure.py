@@ -3,11 +3,16 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from pyspark.sql import functions as F
+
 from repro.core.cpt import majority
+from repro.core.model import normalize_missing
 from repro.core.similarity import string_similarity
 from repro.core.structure import (_pivot_pairs, decompose_precision,
                                   edge_determinism, learn_skeleton,
-                                  similarity_observations)
+                                  similarity_observations, structure_sample,
+                                  xxhash64)
+from repro.datasets.registry import DATASETS
 
 
 def _sem_obs(n=3000, seed=0):
@@ -170,7 +175,9 @@ def _pair_counts(rows):
 
 
 def _major(pdf):
-    return majority(pdf, ["attr_i", "attr_j", "e"], "c")
+    """``pair_majority``'s form: one ordered pair, numbered 0."""
+    return majority(pdf.assign(pair=0), ["attr_i", "attr_j", "pair", "e"],
+                    "c")
 
 
 def test_edge_determinism_perfect_fd():
@@ -204,3 +211,76 @@ def test_edge_determinism_missing_pair():
     det, support = edge_determinism(_major(_pair_counts([])),
                                     ["x", "y"])[("x", "y")]
     assert det == 0.0 and support == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the structure sample: Spark's xxhash64 rule, drawn on the driver
+# ---------------------------------------------------------------------------
+
+def _strings(n=2000, seed=0):
+    """Strings of 0-100 characters, with multi-byte UTF-8 (2-4 bytes per
+    character) and every byte length a 32-byte stripe, an 8-byte word,
+    a 4-byte word and single bytes take."""
+    g = np.random.default_rng(seed)
+    alphabet = list("abcXYZ019 -_") + ["é", "ß", "€", "漢", "😀"]
+    out = ["", "a", "abcd", "abcdefgh", "x" * 31, "x" * 32, "y" * 33,
+           "z" * 64, "€" * 11]
+    for _ in range(n):
+        out.append("".join(g.choice(alphabet, g.integers(0, 101))))
+    return out
+
+
+def test_xxhash64_is_sparks(spark):
+    values = _strings() + [str(k) for k in range(3000)]
+    sizes = {len(v.encode()) for v in values}
+    assert {0, 4, 8, 31, 32, 33, 64} <= sizes and max(sizes) > 128
+    want = (spark.createDataFrame(pd.DataFrame({"s": values}))
+            .select(F.xxhash64("s").alias("h")).toPandas()["h"])
+    got = xxhash64(values)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+
+
+def _spark_sample(spark, frame, attrs, n):
+    """The sample rule run by Spark: ``orderBy(xxhash64(tid), tid)``."""
+    return (spark.createDataFrame(frame[["tid", *attrs]])
+            .orderBy(F.xxhash64("tid"), "tid").limit(n).toPandas())
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_structure_sample_matches_spark_order_by(spark, task, name):
+    """The driver's sample holds the rows, in the order, that Spark's
+    ``orderBy(F.xxhash64("tid"), "tid").limit(n)`` keeps."""
+    t = task(name)
+    dirty = normalize_missing(t.dirty)
+    n = len(dirty) // 3
+    got = structure_sample(spark, dirty, t.attrs, n).toPandas()
+    pd.testing.assert_frame_equal(got, _spark_sample(spark, dirty, t.attrs,
+                                                     n))
+
+
+def test_structure_sample_ignores_row_order_and_takes_any_tid(spark, task):
+    """The same sample from a row-shuffled frame; Spark's rule for
+    non-integer tids, multi-byte ones too, and for tied hashes; and
+    every row of a frame smaller than the sample."""
+    t = task("flights")
+    dirty = normalize_missing(t.dirty)
+    n = 500
+    want = structure_sample(spark, dirty, t.attrs, n).toPandas()
+    shuffled = dirty.sample(frac=1.0, random_state=3)
+    pd.testing.assert_frame_equal(
+        structure_sample(spark, shuffled, t.attrs, n).toPandas(), want)
+    for tids in (["t-" + v for v in dirty["tid"]],
+                 [f"{k * 0.5}é" for k in range(len(dirty))]):
+        frame = dirty.assign(tid=tids)
+        got = structure_sample(spark, frame, t.attrs, n).toPandas()
+        pd.testing.assert_frame_equal(
+            got, _spark_sample(spark, frame, t.attrs, n))
+    small = structure_sample(spark, dirty.head(7), t.attrs, n).toPandas()
+    assert sorted(small["tid"]) == sorted(dirty["tid"].head(7))
+    # equal tids hash equally: the tie is broken by tid (the tied rows
+    # here are copies, so their order among themselves cannot show)
+    ties = pd.concat([dirty.head(300), dirty.head(100)], ignore_index=True)
+    pd.testing.assert_frame_equal(
+        structure_sample(spark, ties, t.attrs, 150).toPandas(),
+        _spark_sample(spark, ties, t.attrs, 150))
