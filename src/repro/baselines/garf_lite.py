@@ -43,8 +43,7 @@ class GarfLite:
         # {X-value: (majority Y-value, its count, X-value count)}.
         major = pair_majority(corr_pdf)
         determinism = edge_determinism(major, attrs)
-        by_pair = {(g["attr_i"].iat[0], g["attr_j"].iat[0]): g
-                   for _, g in major.groupby("pair", sort=False)}
+        by_pair = dict(iter(major.groupby(["attr_i", "attr_j"], sort=False)))
         rules: list[tuple[str, str, dict[str, tuple[str, int, int]]]] = []
         for (x, y), (det, support) in determinism.items():
             if det >= _MIN_CONF and support >= _MIN_SUPPORT:

@@ -79,13 +79,11 @@ class RahaBaranLite:
             if det >= 0.8 and support >= 3:
                 fds[y].append(x)
         # (Y, X) -> {X-value: (majority Y-value, its share)}
-        fd_major = {}
-        for _, g in major.groupby("pair", sort=False):
-            y, x = g["attr_i"].iat[0], g["attr_j"].iat[0]
-            if x in fds[y]:
-                fd_major[(y, x)] = dict(zip(
-                    vocab[x][g["e"]],
-                    zip(vocab[y][g["c"]], g["cnt"] / g["total"])))
+        fd_major = {
+            (y, x): dict(zip(vocab[x][g["e"]],
+                             zip(vocab[y][g["c"]], g["cnt"] / g["total"])))
+            for (y, x), g in major.groupby(["attr_i", "attr_j"], sort=False)
+            if x in fds[y]}
 
         cols = {a: dirty[a].to_numpy(object) for a in attrs}
         clean_cols = {a: clean[a].to_numpy(object) for a in attrs}
@@ -124,8 +122,10 @@ class RahaBaranLite:
 
         # --- correction ------------------------------------------------
         out_cols = {a: cols[a].copy() for a in attrs}
+        # most frequent first; a count tie goes to the smaller value
         freq_vals = {a: sorted(counts.get(a, {}).items(),
-                               key=lambda kv: -kv[1])[:200] for a in attrs}
+                               key=lambda kv: (-kv[1], kv[0]))[:200]
+                     for a in attrs}
         for i in range(n):
             row = {a: cols[a][i] for a in attrs}
             for a in attrs:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from copy import deepcopy
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -99,7 +98,12 @@ class BClean:
         if not self.params.use_ucs:
             ucs = {}
         attrs = [c for c in dirty.columns if c != "tid"]
-        self._dirty = _sorted_by_tid(dirty[["tid", *attrs]])
+        # clean()'s row order: by tid, as integers if every tid is one
+        # (Python ints: exact at any size)
+        numeric = dirty["tid"].str.fullmatch(r"[+-]?\d+").all()
+        self._dirty = dirty[["tid", *attrs]].sort_values(
+            "tid", key=(lambda s: s.map(int)) if numeric else None,
+            kind="stable", ignore_index=True)
         self._spark = spark
 
         # --- structure learning (§4), unless a network is supplied ----
@@ -219,16 +223,3 @@ class BClean:
         changes = run_inference(
             self._spark, self._codes, self.model, self.params)
         return apply_repairs(self._dirty, changes, self.model.vocab)
-
-
-def _sorted_by_tid(frame: pd.DataFrame) -> pd.DataFrame:
-    """``frame`` in clean()'s row order: by tid, as integers if every tid
-    is one, else as strings."""
-    tid = frame["tid"]
-    if not tid.str.fullmatch(r"[+-]?\d+").all():
-        return frame.sort_values("tid", kind="stable", ignore_index=True)
-    try:   # exact: astype raises OverflowError rather than wrap
-        key = tid.astype(np.int64).to_numpy()
-    except OverflowError:
-        key = tid.map(int).to_numpy()   # Python ints: exact at any size
-    return frame.iloc[np.argsort(key, kind="stable")].reset_index(drop=True)

@@ -141,23 +141,18 @@ def pair_majority(corr_pdf: pd.DataFrame) -> pd.DataFrame:
     """The majority ``c`` per ``e`` of every ordered attribute pair of
     ``corr_counts``' output, in both orientations of each unordered
     pair: ``cpt.majority`` over ``[pair, e]``, as
-    ``[attr_i, attr_j, pair, e, c, cnt, total]``: the forward
-    orientation's rows, then the reverse one's. Here ``pair`` numbers
-    the ordered pairs: ``2k`` is unordered pair ``k`` read as (attr_i,
-    attr_j) of ``corr_pdf``, ``2k + 1`` its reverse. A tie at the
-    maximum goes to the smaller code, in either orientation, as
-    ``corr_counts`` orders its rows by code. Each orientation is read
-    off ``corr_pdf`` in place, grouping integers only, so no reversed
-    copy of it is made."""
+    ``[attr_i, attr_j, e, c, cnt, total]``: the forward orientation's
+    rows, then the reverse one's. A tie at the maximum goes to the
+    smaller code, in either orientation, as ``corr_counts`` orders its
+    rows by code. Each orientation is read off ``corr_pdf`` in place,
+    grouping integers, so no reversed copy of it is made."""
     names = corr_pdf.drop_duplicates("pair").set_index("pair")[
         ["attr_i", "attr_j"]]
     fwd = majority(corr_pdf, ["pair", "e"], "c").join(names, on="pair")
     rev = majority(corr_pdf, ["pair", "c"], "e").rename(columns=_SWAP).join(
         names.rename(columns=_SWAP), on="pair")
-    cols = ["attr_i", "attr_j", "pair", "e", "c", "cnt", "total"]
-    return pd.concat([fwd.assign(pair=2 * fwd["pair"])[cols],
-                      rev.assign(pair=2 * rev["pair"] + 1)[cols]],
-                     ignore_index=True)
+    cols = ["attr_i", "attr_j", "e", "c", "cnt", "total"]
+    return pd.concat([fwd[cols], rev[cols]], ignore_index=True)
 
 
 class CorrIndex:

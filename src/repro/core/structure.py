@@ -135,8 +135,7 @@ def edge_determinism(major: pd.DataFrame, attrs: Sequence[str]
     """FD-ness of every candidate edge X → Y between two of ``attrs``,
     as ``{(X, Y): (det, support)}``, from the majority Y-value per
     X-value of the Algorithm-2 co-occurrence counts,
-    ``compensatory.pair_majority(corr_pdf)``, one ordered pair per
-    ``pair``:
+    ``compensatory.pair_majority(corr_pdf)``:
     ``det`` is the fraction of rows on which the majority would be
     correct (Σ cnt / Σ total, the confidence of the approximate FD
     X → Y), ``support`` the mean majority count; both are 0 for a pair
@@ -145,10 +144,9 @@ def edge_determinism(major: pd.DataFrame, attrs: Sequence[str]
     (softened) FDs, so a high-entropy conditional is a lasso artifact,
     not a dependency worth a CPT."""
     out = {(x, y): (0.0, 0.0) for x in attrs for y in attrs if x != y}
-    per_pair = major.groupby("pair", sort=False).agg(
-        y=("attr_i", "first"), x=("attr_j", "first"), top=("cnt", "sum"),
-        total=("total", "sum"), support=("cnt", "mean"))
-    for y, x, top, total, support in per_pair.itertuples(index=False):
+    per_pair = major.groupby(["attr_i", "attr_j"], sort=False).agg(
+        top=("cnt", "sum"), total=("total", "sum"), support=("cnt", "mean"))
+    for (y, x), top, total, support in per_pair.itertuples():
         out[(x, y)] = (float(top / total), float(support))
     return out
 

@@ -300,7 +300,7 @@ def test_fit_orders_integer_tids_beyond_int64(spark):
 
 
 def test_fit_orders_signed_and_padded_integer_tids(spark):
-    """Signs and leading zeros sort by value, up to the int64 maximum."""
+    """Signs and leading zeros sort by value."""
     tids = ["9223372036854775807", "+5", "007", "-3", "10"]
     dirty = pd.DataFrame({"tid": tids, "a": list("vwxyz")})
     bc = BClean("PI").fit(spark, dirty, network=BayesianNetwork.from_parents(

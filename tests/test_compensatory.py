@@ -205,9 +205,9 @@ def test_pair_majority_tie_goes_to_smallest_code(spark):
                       "a": ["k", "k", "k", "k", "j"],
                       "b": ["q", "q", "p", "p", "q"]})
     major = pair_majority(corr_counts(spark, t, ["a", "b"], {}))
-    # ordered pair 2k is pair k as corr_counts emits it, 2k + 1 reversed
-    assert major[["attr_i", "attr_j", "pair"]].drop_duplicates().to_numpy(
-        ).tolist() == [["a", "b", 0], ["b", "a", 1]]
+    # the forward orientation's rows, then the reverse one's
+    assert major[["attr_i", "attr_j"]].drop_duplicates().to_numpy(
+        ).tolist() == [["a", "b"], ["b", "a"]]
     rev = major[major["attr_i"] == "b"].set_index("e")
     assert rev.loc[1, "c"] == 0                     # k -> p, not q
     assert rev.loc[1, ["cnt", "total"]].tolist() == [2, 4]

@@ -175,9 +175,7 @@ def _pair_counts(rows):
 
 
 def _major(pdf):
-    """``pair_majority``'s form: one ordered pair, numbered 0."""
-    return majority(pdf.assign(pair=0), ["attr_i", "attr_j", "pair", "e"],
-                    "c")
+    return majority(pdf, ["attr_i", "attr_j", "e"], "c")
 
 
 def test_edge_determinism_perfect_fd():
